@@ -7,7 +7,6 @@ from .coloring import (
     PeriodicColoring,
     StrongSimEngine,
     decide_strong,
-    initial_rectangle,
     solve_quotient,
     spoiler_bounded_win,
     verify_coloring,
@@ -28,7 +27,6 @@ __all__ = [
     "build_product",
     "decide_strong",
     "format_net",
-    "initial_rectangle",
     "normalize_pair",
     "parse_net",
     "solve_quotient",

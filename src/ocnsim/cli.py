@@ -1,13 +1,14 @@
 """Command line front end: parse nets, decide simulation, render and export.
 
 Exit codes: 0 = simulated, 1 = not simulated, 2 = undecided at the resource
-caps, 64 = input parse error.
+caps (running out of recursion depth or memory counts as a cap), 64 = input
+parse error, 70 = internal error (`check` prints one line to stderr and no
+verdict).
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -23,6 +24,7 @@ EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_UNDECIDED = 2
 EXIT_PARSE = 64
+EXIT_INTERNAL = 70
 
 
 def _load_net(path: str) -> Ocn:
@@ -47,13 +49,6 @@ def _parse_config(literal: str, net: Ocn, path: str) -> Config:
         click.echo(f"state {state!r} not in net {net.name} ({path})", err=True)
         sys.exit(EXIT_PARSE)
     return Config(state, int(counter))
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("OCNSIM_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _limits(max_depth: int | None, max_period: int | None, max_rect: int | None) -> EngineLimits:
@@ -100,30 +95,39 @@ def check(mode, tau, as_json, max_depth, max_period, max_rect, dump_dir,
     started = time.monotonic()
     j = k = None
     belts_used = 0
-    if mode == "strong":
-        engine = StrongSimEngine(spoiler, duplicator, limits, threads=_threads())
-        answer = engine.decide(left, right)
+    engine = None
+    try:
+        if mode == "strong":
+            engine = StrongSimEngine(spoiler, duplicator, limits)
+            answer = engine.decide(left, right)
+        else:
+            decision = decide_weak(
+                spoiler, duplicator, left, right, tau=tau, limits=limits,
+                collect=dump_dir is not None,
+            )
+            answer = decision.answer
+            if dump_dir is not None:
+                out_dir = Path(dump_dir)
+                out_dir.mkdir(parents=True, exist_ok=True)
+                for nets in decision.approximants:
+                    (out_dir / f"level{nets.level}_spoiler.ocn").write_text(
+                        format_net(nets.spoiler), encoding="utf-8"
+                    )
+                    (out_dir / f"level{nets.level}_duplicator.ocn").write_text(
+                        format_net(nets.duplicator), encoding="utf-8"
+                    )
+    except (RecursionError, MemoryError):
+        answer = None  # out of stack or memory: a resource cap, not a verdict
+    except Exception as exc:
+        message = f"internal error: {type(exc).__name__}: {exc}"
+        click.echo(" ".join(message.split()), err=True)
+        sys.exit(EXIT_INTERNAL)
+    if engine is not None:
         belts_used = len(engine.scope)
-        col = next((c for c in engine._colorings.values() if c.certified_yes), None)
+        col = next((c for c in engine.colorings.values() if c.certified_yes), None)
         if col is not None:
             geo = next(iter(col.geometry.values()))
             j, k = geo.j, geo.k
-    else:
-        decision = decide_weak(
-            spoiler, duplicator, left, right, tau=tau, limits=limits,
-            collect=dump_dir is not None,
-        )
-        answer = decision.answer
-        if dump_dir is not None:
-            out_dir = Path(dump_dir)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            for nets in decision.approximants:
-                (out_dir / f"level{nets.level}_spoiler.ocn").write_text(
-                    format_net(nets.spoiler), encoding="utf-8"
-                )
-                (out_dir / f"level{nets.level}_duplicator.ocn").write_text(
-                    format_net(nets.duplicator), encoding="utf-8"
-                )
     elapsed_ms = int((time.monotonic() - started) * 1000)
     verdict = {True: "true", False: "false", None: "undecided"}[answer]
     if as_json:
@@ -149,7 +153,7 @@ def belts(as_json, net_a, net_b):
     """Print each state pair's boundary slope and belt width."""
     spoiler = _load_net(net_a)
     duplicator = _load_net(net_b)
-    engine = StrongSimEngine(spoiler, duplicator, threads=_threads())
+    engine = StrongSimEngine(spoiler, duplicator)
     rows = [
         {
             "q": b.pair[0],
@@ -231,7 +235,7 @@ def render(pair_opt, size, fmt, out, net_a, net_b):
     if not sep or q not in spoiler.states or q2 not in duplicator.states:
         click.echo(f"bad --pair {pair_opt!r}", err=True)
         sys.exit(EXIT_PARSE)
-    engine = StrongSimEngine(spoiler, duplicator, threads=_threads())
+    engine = StrongSimEngine(spoiler, duplicator)
     text = (_render_ascii if fmt == "ascii" else _render_svg)(engine, (q, q2), size)
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -248,7 +252,7 @@ def export(out, pairs_opt, net_a, net_b):
     """Write the semilinear description of the simulation relation as JSON."""
     spoiler = _load_net(net_a)
     duplicator = _load_net(net_b)
-    engine = StrongSimEngine(spoiler, duplicator, threads=_threads())
+    engine = StrongSimEngine(spoiler, duplicator)
     pc = engine.export_coloring()
     if pc is None:
         click.echo("undecided: no certified coloring within the caps", err=True)

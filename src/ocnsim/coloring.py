@@ -12,7 +12,6 @@ is exact once (j, k) are large enough; verification makes that checkable.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from math import ceil
@@ -26,7 +25,7 @@ from .core import (
     graph_parameters,
     normalize_pair,
 )
-from .geometry import Slope, c_above, c_below, cross, interval_representatives
+from .geometry import Slope, c_above, c_below, interval_representatives
 from .slope_game import (
     PairScan,
     SlopeGameSolver,
@@ -219,51 +218,26 @@ class VerificationReport:
 # Quotient game
 
 
-class _Rules:
-    """Per-pair move tables of a normalized product."""
-
-    def __init__(self, product: ProductGraph):
-        self.spoiler: dict[str, list[tuple[str, int, str]]] = {}
-        self.dup: dict[tuple[str, str], list[tuple[int, str]]] = {}
-        for s, a, d, t in product.spoiler.transitions:
-            self.spoiler.setdefault(s, []).append((a, d, t))
-        for s, a, d, t in product.duplicator.transitions:
-            self.dup.setdefault((s, a), []).append((d, t))
-
-    def moves(self, pair: Node, pt: Point):
-        """Enabled one-round alternatives: per enabled Spoiler rule, the list
-        of (successor pair, successor point) replies."""
-        q, q2 = pair
-        n, m = pt
-        for a, d, p in self.spoiler.get(q, ()):
-            if n + d < 0:
-                continue
-            replies = [
-                ((p, p2), (n + d, m + d2))
-                for d2, p2 in self.dup.get((q2, a), ())
-                if m + d2 >= 0
-            ]
-            yield replies
-
-
 class QuotientColoring:
     """Window values of the quotient-game greatest fixpoint plus the
-    machinery to look points up through zones and wraps."""
+    machinery to look points up through zones and wraps.
+
+    The values are solved on construction unless given, as when checking an
+    exported coloring.
+    """
 
     def __init__(
         self,
         product: ProductGraph,
         geometry: dict[Node, PairGeometry],
-        rules: _Rules | None = None,
+        values: dict[Node, dict[Point, bool]] | None = None,
     ):
         self.product = product
         self.geometry = geometry
-        self.rules = rules or _Rules(product)
-        self.values: dict[Node, dict[Point, bool]] = {}
+        self.values = self._solve() if values is None else values
         self.certified_yes = False
         self.no_confirmed_depth: int | None = None
         self.exact = False
-        self._solve()
 
     # -- lookup ------------------------------------------------------------
 
@@ -280,6 +254,15 @@ class QuotientColoring:
         except KeyError as exc:
             raise GeometryError(f"{pair}: {pt} missing from window") from exc
 
+    def _alternatives(self, pair: Node, pt: Point):
+        """Enabled one-round alternatives: per enabled Spoiler rule, the list
+        of (successor pair, successor point) replies."""
+        n, m = pt
+        for _, d, replies in self.product.moves[pair]:
+            if n + d < 0:
+                continue
+            yield [(tgt, (n + d, m + d2)) for d2, tgt in replies if m + d2 >= 0]
+
     # -- greatest fixpoint ---------------------------------------------------
 
     def _resolve(self, pair: Node, pt: Point):
@@ -293,17 +276,18 @@ class QuotientColoring:
             pt = geo.wrap(pt)
         return (pair, pt)
 
-    def _solve(self) -> None:
-        values = self.values
-        for pair, geo in self.geometry.items():
-            values[pair] = dict.fromkeys(geo.window_points(), True)
+    def _solve(self) -> dict[Node, dict[Point, bool]]:
+        values = {
+            pair: dict.fromkeys(geo.window_points(), True)
+            for pair, geo in self.geometry.items()
+        }
 
         conds: dict[tuple[Node, Point], list[list[object]]] = {}
         readers: dict[tuple[Node, Point], list[tuple[Node, Point]]] = {}
         for pair, vals in values.items():
             for pt in vals:
                 groups: list[list[object]] = []
-                for replies in self.rules.moves(pair, pt):
+                for replies in self._alternatives(pair, pt):
                     slots: list[object] = []
                     for tgt_pair, tgt_pt in replies:
                         slot = self._resolve(tgt_pair, tgt_pt)
@@ -343,13 +327,14 @@ class QuotientColoring:
                 if values[reader[0]][reader[1]] and reader not in queued:
                     queue.append(reader)
                     queued.add(reader)
+        return values
 
     # -- verification --------------------------------------------------------
 
     def condition_holds(self, pair: Node, pt: Point) -> bool:
         """One-step simulation condition against this coloring, evaluated
         directly from the step semantics (works at any point)."""
-        for replies in self.rules.moves(pair, pt):
+        for replies in self._alternatives(pair, pt):
             if not any(self.lookup(tp, tpt) for tp, tpt in replies):
                 return False
         return True
@@ -480,29 +465,26 @@ class SpoilerAttractor:
     is a sound Spoiler-win certificate; it is complete for positions whose
     coordinates stay at least `depth` below the grid bound."""
 
-    def __init__(self, product: ProductGraph, rules: _Rules, scope: tuple[Node, ...] | None = None):
+    def __init__(self, product: ProductGraph, scope: tuple[Node, ...] | None = None):
         self.product = product
-        self.rules = rules
         scope_set = set(scope) if scope is not None else set(product.nodes)
         self._rev: dict[Node, list[tuple[Node, int, int]]] = {}
         for e in self.product.edges:
             if e[0] in scope_set and e[4] in scope_set:
                 self._rev.setdefault(e[4], []).append((e[0], e[2], e[3]))
         self._all_neg: dict[Node, list[tuple[str, int]]] = {}
-        self._pair_rules: dict[Node, list[tuple[int, list[tuple[int, Node]]]]] = {}
+        self._pair_rules: dict[Node, list[tuple[int, tuple[tuple[int, Node], ...]]]] = {}
         for pair in (scope if scope is not None else product.nodes):
-            q, q2 = pair
             stuck_rules = []
             flat = []
-            for a, d, p in self.rules.spoiler.get(q, ()):
-                replies = self.rules.dup.get((q2, a))
-                if replies is None:
+            for a, d, replies in product.moves[pair]:
+                if not replies:
                     raise GeometryError(
                         f"pair {pair}: Duplicator has no {a!r} rules (net not normalized)"
                     )
                 if all(d2 == -1 for d2, _ in replies):
                     stuck_rules.append((a, d))
-                flat.append((d, [(d2, (p, p2)) for d2, p2 in replies]))
+                flat.append((d, replies))
             self._all_neg[pair] = stuck_rules
             self._pair_rules[pair] = flat
         self.won: dict[Node, dict[int, int]] = {}
@@ -600,62 +582,10 @@ def spoiler_bounded_win(
     pair: Node = (left.state, right.state)
     point: Point = (left.counter, right.counter)
     product = build_product(*nets)
-    att = SpoilerAttractor(product, _Rules(product))
+    att = SpoilerAttractor(product)
     att.ensure(bound=max(point) + depth, max_rank=depth)
     r = att.rank(pair, point)
     return r is not None and r <= depth
-
-
-# ---------------------------------------------------------------------------
-# Initial rectangle
-
-
-def initial_rectangle(belts: list[Belt]) -> Point:
-    """Corner (l0, l0') outside of which all pairwise non-parallel belts are
-    disjoint, minimally extended so that no belt contains the corner itself.
-
-    Disjointness bounds come from exact corner analysis of the belt slabs;
-    the returned corner may over-shoot the true minimum by the closed-form
-    slack, never under-shoot.
-    """
-    lx = ly = 0
-    for b1, b2 in itertools.combinations(belts, 2):
-        if cross(b1.slope.as_vec(), b2.slope.as_vec()) == 0:
-            continue
-        bound = _strip_intersection_bound(b1, b2)
-        lx = max(lx, bound[0])
-        ly = max(ly, bound[1])
-    if belts:
-        ly = max(ly, max(b.c for b in belts) + 1)
-    geos = [PairGeometry(b.pair, b.slope, b.c, (0, 0), 0, 1) for b in belts]
-    while any(g.in_belt((lx, ly)) for g in geos):
-        lx += 1
-    return (lx, ly)
-
-
-def _strip_intersection_bound(b1: Belt, b2: Belt) -> Point:
-    """Componentwise bound on the intersection region of two non-parallel
-    belts: slab-corner solutions plus the low lobes along the axes."""
-    max_n = 0
-    max_m = 0
-    s1, s2 = b1.slope, b2.slope
-    B1 = b1.c * (s1.rho + s1.rho_prime)
-    B2 = b2.c * (s2.rho + s2.rho_prime)
-    det = s1.rho_prime * s2.rho - s1.rho * s2.rho_prime
-    for t1, t2 in itertools.product((-B1, B1), (-B2, B2)):
-        # solve rho*n' - rho'*n = t for both belts
-        n_num = s2.rho * t1 - s1.rho * t2
-        m_num = s2.rho_prime * t1 - s1.rho_prime * t2
-        max_n = max(max_n, ceil(abs(n_num) / abs(det)))
-        max_m = max(max_m, ceil(abs(m_num) / abs(det)))
-    # lobes: low rows n' <= c or low columns n <= c of one belt against the other
-    cmax = max(b1.c, b2.c)
-    for s, other_c in ((s1, b2.c), (s2, b1.c)):
-        if s.rho_prime > 0:
-            max_n = max(max_n, (s.rho * (cmax + other_c)) // s.rho_prime + other_c + cmax)
-        if s.rho > 0:
-            max_m = max(max_m, (s.rho_prime * (cmax + other_c)) // s.rho + other_c + cmax)
-    return (max_n, max_m)
 
 
 # ---------------------------------------------------------------------------
@@ -703,20 +633,23 @@ def verify_coloring(
     cap.
     """
     product = build_product(*nets)
-    rules = _Rules(product)
     report = VerificationReport()
-    shell = _coloring_shell(product, pc, rules)
+    geometry = {pair: pc.geometry(pair) for pair in pc.pairs}
+    col = QuotientColoring(product, geometry, values={
+        pair: {pt: pc.lookup(pair, pt) for pt in geo.window_points()}
+        for pair, geo in geometry.items()
+    })
     for pair in pc.pairs:
-        for pt, v in shell.values[pair].items():
-            if v and not shell.condition_holds(pair, pt):
+        for pt, v in col.values[pair].items():
+            if v and not col.condition_holds(pair, pt):
                 report.yes_violations.append((pair, pt))
-    report.periodicity_failures.extend(shell.certify_periodicity(horizon_cap))
+    report.periodicity_failures.extend(col.certify_periodicity(horizon_cap))
     if check_no:
-        att = SpoilerAttractor(product, rules)
+        att = SpoilerAttractor(product)
         bound = 0
         false_pts = []
         for pair in pc.pairs:
-            for pt, v in shell.values[pair].items():
+            for pt, v in col.values[pair].items():
                 if not v:
                     false_pts.append((pair, pt))
                     bound = max(bound, pt[0], pt[1])
@@ -726,24 +659,6 @@ def verify_coloring(
             if r is None or r > spoiler_depth_cap:
                 report.no_unconfirmed.append((pair, pt))
     return report
-
-
-def _coloring_shell(
-    product: ProductGraph, pc: PeriodicColoring, rules: _Rules
-) -> QuotientColoring:
-    """A QuotientColoring whose window values are read off an exported
-    description instead of being solved, for verification purposes."""
-    shell = QuotientColoring.__new__(QuotientColoring)
-    shell.product = product
-    shell.rules = rules
-    shell.geometry = {pair: pc.geometry(pair) for pair in pc.pairs}
-    shell.values = {}
-    shell.certified_yes = False
-    shell.no_confirmed_depth = None
-    shell.exact = False
-    for pair, geo in shell.geometry.items():
-        shell.values[pair] = {pt: pc.lookup(pair, pt) for pt in geo.window_points()}
-    return shell
 
 
 def find_equal_cross_sections(
@@ -824,26 +739,27 @@ class StrongSimEngine:
         spoiler_net: Ocn,
         duplicator_net: Ocn,
         limits: EngineLimits | None = None,
-        threads: int = 1,
         roots: list[Node] | None = None,
     ):
         self.limits = limits or EngineLimits()
         self.spoiler_net, self.duplicator_net = normalize_pair(spoiler_net, duplicator_net)
         self.product = build_product(self.spoiler_net, self.duplicator_net)
-        self.rules = _Rules(self.product)
         self.scc, self.acyc_bound = graph_parameters(self.product)
         self.c_global = belt_constant(self.product)
         self.scope = self._closure(roots)
         self.vectors = cycle_effect_candidates(self.product, self.scope)
         self.reps = interval_representatives(self.vectors)
         self.solver = SlopeGameSolver(self.product)
-        self.scans: dict[Node, PairScan] = self._scan_all(threads)
+        mk = len(self.scope)
+        self.scans: dict[Node, PairScan] = {
+            v: scan_pair(self.product, v, self.reps, self.solver, mk) for v in self.scope
+        }
         self.c_pair = {
             node: max(scan.c_above, scan.c_below) for node, scan in self.scans.items()
         }
         self.w = max(self.limits.w0, max(self.c_pair.values(), default=0) + 2)
-        self._colorings: dict[tuple[int, int], QuotientColoring] = {}
-        self._attractor = SpoilerAttractor(self.product, self.rules, self.scope)
+        self.colorings: dict[tuple[int, int], QuotientColoring] = {}
+        self._attractor = SpoilerAttractor(self.product, self.scope)
 
     def _closure(self, roots: list[Node] | None) -> tuple[Node, ...]:
         """Pairs reachable from the roots in the product graph; queries and
@@ -859,20 +775,6 @@ class StrongSimEngine:
             seen.add(v)
             todo.extend(w for w in self.product.successors[v] if w not in seen)
         return tuple(v for v in self.product.nodes if v in seen)
-
-    def _scan_all(self, threads: int) -> dict[Node, PairScan]:
-        nodes = list(self.scope)
-        mk = len(self.scope)
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = pool.map(
-                    lambda v: scan_pair(self.product, v, self.reps, self.solver, mk),
-                    nodes,
-                )
-                return dict(zip(nodes, results))
-        return {v: scan_pair(self.product, v, self.reps, self.solver, mk) for v in nodes}
 
     # -- geometry ------------------------------------------------------------
 
@@ -912,12 +814,12 @@ class StrongSimEngine:
 
     def coloring(self, j: int, k: int) -> QuotientColoring:
         key = (j, k)
-        col = self._colorings.get(key)
+        col = self.colorings.get(key)
         if col is None:
-            col = QuotientColoring(self.product, self.geometry(j, k), self.rules)
+            col = QuotientColoring(self.product, self.geometry(j, k))
             failures = col.certify_periodicity(self.limits.horizon_cap)
             col.certified_yes = not failures
-            self._colorings[key] = col
+            self.colorings[key] = col
         return col
 
     def spoiler_rank(self, pair: Node, pt: Point, depth: int) -> int | None:
@@ -989,7 +891,7 @@ class StrongSimEngine:
                 return False
             if not attractor_feasible and self._ensure_exact(col):
                 return col.lookup(pair, pt)
-        col = next((c for c in self._colorings.values() if c.certified_yes), None)
+        col = next((c for c in self.colorings.values() if c.certified_yes), None)
         if col is not None and self._ensure_exact(col):
             return col.lookup(pair, pt)
         return None

@@ -144,6 +144,7 @@ def normalize_pair(spoiler_net: Ocn, duplicator_net: Ocn) -> tuple[Ocn, Ocn]:
 
 Node = tuple[str, str]
 Edge = tuple[Node, str, int, int, Node]
+Move = tuple[str, int, tuple[tuple[int, Node], ...]]
 
 
 @dataclass(frozen=True)
@@ -174,6 +175,24 @@ class ProductGraph:
     def successors(self) -> dict[Node, tuple[Node, ...]]:
         return {v: tuple(sorted({e[4] for e in es})) for v, es in self.out.items()}
 
+    @cached_property
+    def moves(self) -> dict[Node, tuple[Move, ...]]:
+        """The one-round rules of every pair: per Spoiler rule (action, delta),
+        Duplicator's same-action replies (delta', successor pair).
+
+        Both levels follow net transition order, which fixes the order the
+        games explore.  Built from the nets rather than from the edges, so a
+        Spoiler rule that Duplicator cannot answer keeps an empty reply tuple.
+        """
+        replies = self.duplicator.out_by_action
+        return {
+            (q, q2): tuple(
+                (a, d, tuple((d2, (p, p2)) for _, _, d2, p2 in replies.get((q2, a), ())))
+                for _, a, d, p in self.spoiler.out[q]
+            )
+            for q, q2 in self.nodes
+        }
+
 
 def build_product(spoiler_net: Ocn, duplicator_net: Ocn) -> ProductGraph:
     """Build the product control graph of two nets over a shared alphabet."""
@@ -188,65 +207,6 @@ def build_product(spoiler_net: Ocn, duplicator_net: Ocn) -> ProductGraph:
             if a == b:
                 edges.append(((p, q), a, d, d2, (p2, q2)))
     return ProductGraph(nodes, tuple(edges), spoiler_net, duplicator_net)
-
-
-@dataclass(frozen=True)
-class ProductPath:
-    """A path in a product graph: a start node plus consecutive edges."""
-
-    start: Node
-    edges: tuple[Edge, ...] = ()
-
-    def __post_init__(self) -> None:
-        at = self.start
-        for e in self.edges:
-            if e[0] != at:
-                raise NetError("path edges are not consecutive")
-            at = e[4]
-
-    @property
-    def end(self) -> Node:
-        return self.edges[-1][4] if self.edges else self.start
-
-    def nodes(self) -> list[Node]:
-        result = [self.start]
-        result.extend(e[4] for e in self.edges)
-        return result
-
-    @property
-    def effect(self) -> tuple[int, int]:
-        return (sum(e[2] for e in self.edges), sum(e[3] for e in self.edges))
-
-    def extend(self, edge: Edge) -> "ProductPath":
-        return ProductPath(self.start, self.edges + (edge,))
-
-
-@dataclass(frozen=True)
-class LassoSplit:
-    """A lasso split into its acyclic prefix and closing cycle."""
-
-    prefix: ProductPath
-    cycle: ProductPath
-
-
-def lasso_split(path: ProductPath) -> LassoSplit | None:
-    """Split a lasso at its first repeated node; None if the path is no lasso.
-
-    A path is a lasso when its final node is the only repetition: the node
-    sequence repeats exactly once, at the very end.
-    """
-    nodes = path.nodes()
-    seen: dict[Node, int] = {}
-    for idx, v in enumerate(nodes):
-        if v in seen:
-            if idx != len(nodes) - 1:
-                return None
-            i = seen[v]
-            prefix = ProductPath(path.start, path.edges[:i])
-            cycle = ProductPath(v, path.edges[i:])
-            return LassoSplit(prefix, cycle)
-        seen[v] = idx
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Literal
 
-from .core import (
-    Node,
-    ProductGraph,
-    ProductPath,
-    _tarjan_sccs,
-    graph_parameters,
-)
+from .core import Node, ProductGraph, _tarjan_sccs, graph_parameters
 from .geometry import (
     Slope,
     Vec2,
@@ -44,16 +38,6 @@ class PhaseVerdict:
 
     outcome: PhaseOutcome
     new_slope: Slope | None = None
-
-
-@dataclass(frozen=True)
-class SlopeGamePosition:
-    """A mid-phase position: acyclic path, phase slope, and, between Spoiler's
-    and Duplicator's half-moves, the pending Spoiler rule."""
-
-    path: ProductPath
-    slope: Slope
-    pending: tuple[str, int, str] | None = None  # (action, delta, target state)
 
 
 @dataclass(frozen=True)
@@ -88,12 +72,6 @@ class SlopeGameSolver:
     def __init__(self, product: ProductGraph):
         self.product = product
         self._memo: dict[tuple[Node, Slope], SlopeGameResult] = {}
-        self._spoiler_rules: dict[str, list[tuple[str, int, str]]] = {}
-        self._dup_rules: dict[tuple[str, str], list[tuple[int, str]]] = {}
-        for s, a, d, t in product.spoiler.transitions:
-            self._spoiler_rules.setdefault(s, []).append((a, d, t))
-        for s, a, d, t in product.duplicator.transitions:
-            self._dup_rules.setdefault((s, a), []).append((d, t))
         self.max_phase_depth = 0
         self._phase_bound = (product.K + 1) ** 2
 
@@ -101,7 +79,8 @@ class SlopeGameSolver:
         return self._phase_value(node, slope.normalized(), 1)
 
     def _phase_value(self, node: Node, slope: Slope, chain_depth: int) -> SlopeGameResult:
-        assert chain_depth <= self._phase_bound, "phase bound (K+1)^2 exceeded"
+        if chain_depth > self._phase_bound:
+            raise RuntimeError(f"phase bound (K+1)^2 = {self._phase_bound} exceeded")
         self.max_phase_depth = max(self.max_phase_depth, chain_depth)
         key = (node, slope)
         hit = self._memo.get(key)
@@ -132,22 +111,20 @@ class SlopeGameSolver:
         hit = phase_memo.get(key)
         if hit is not None:
             return hit
-        q, q2 = at
-        rules = self._spoiler_rules.get(q, ())
-        if not rules:
+        moves = self.product.moves[at]
+        if not moves:
             # Only reachable on non-normalized inputs: a stuck Spoiler loses.
             return SlopeGameResult(DUPLICATOR, 1)
         result: SlopeGameResult | None = None
         worst_dup = 0
-        for a, d, p in rules:
-            replies = self._dup_rules.get((q2, a))
+        for a, d, replies in moves:
             if not replies:
                 raise RuntimeError(
-                    f"product graph incomplete: no {a!r}-reply at {q2!r} "
+                    f"product graph incomplete: no {a!r}-reply at {at[1]!r} "
                     "(nets must be normalized)"
                 )
             sub = self._reply_value(
-                at, visited, tx, ty, slope, chain_depth, phase_memo, d, p, replies
+                at, visited, tx, ty, slope, chain_depth, phase_memo, d, replies
             )
             if sub.winner == SPOILER:
                 # any winning rule suffices; its depth is a sound strategy depth
@@ -169,15 +146,13 @@ class SlopeGameSolver:
         chain_depth: int,
         phase_memo: dict,
         d: int,
-        p: str,
-        replies: list[tuple[int, str]],
+        replies: tuple[tuple[int, Node], ...],
     ) -> SlopeGameResult:
         worst_sp = 0
         # evaluate lasso-closing replies first: they resolve in constant time
         # and often decide the whole alternative
-        ordered = sorted(replies, key=lambda r: (p, r[1]) not in visited)
-        for d2, p2 in ordered:
-            nxt = (p, p2)
+        ordered = sorted(replies, key=lambda r: r[1] not in visited)
+        for d2, nxt in ordered:
             nx, ny = tx + d, ty + d2
             first = visited.get(nxt)
             if first is None:
@@ -190,8 +165,9 @@ class SlopeGameSolver:
                     sub = SlopeGameResult(DUPLICATOR, 1)
                 elif verdict.outcome is PhaseOutcome.SPOILER_WINS_NOW:
                     sub = SlopeGameResult(SPOILER, 1)
+                elif verdict.new_slope is None:
+                    raise RuntimeError("continuing phase verdict without a new slope")
                 else:
-                    assert verdict.new_slope is not None
                     inner = self._phase_value(nxt, verdict.new_slope, chain_depth + 1)
                     sub = SlopeGameResult(inner.winner, inner.segment_depth + 1)
             if sub.winner == DUPLICATOR:
@@ -287,9 +263,8 @@ def scan_pair(
     """
     outcomes = [RepOutcome(s, *_as_pair(solver.solve(node, s))) for s in reps]
     for earlier, later in zip(outcomes, outcomes[1:]):
-        assert not (earlier.winner == DUPLICATOR and later.winner == SPOILER), (
-            f"slope-game monotonicity violated at {node}"
-        )
+        if earlier.winner == DUPLICATOR and later.winner == SPOILER:
+            raise RuntimeError(f"slope-game monotonicity violated at {node}")
     first_dup = next((i for i, o in enumerate(outcomes) if o.winner == DUPLICATOR), None)
     K = margin_k if margin_k is not None else g.K
     if first_dup is None:

@@ -51,19 +51,6 @@ class OmegaNet:
     def omega_transitions(self) -> list[OmegaTransition]:
         return [t for t in self.transitions if t[2] == OMEGA]
 
-    def can_step(self, c: Config, action: str, target: Config) -> bool:
-        """Transition-system semantics, including omega steps to any strictly
-        higher counter."""
-        for src, act, delta, dst in self.transitions:
-            if src != c.state or act != action or dst != target.state:
-                continue
-            if delta == OMEGA:
-                if target.counter > c.counter:
-                    return True
-            elif target.counter == c.counter + delta and target.counter >= 0:
-                return True
-        return False
-
 
 # ---------------------------------------------------------------------------
 # tau-path profiles
@@ -210,11 +197,12 @@ def reduce_weak_to_strong(
         nonlocal need_universal
         if effect == OMEGA:
             walk: list[object] = [-1] * required + [OMEGA]
+        elif not isinstance(effect, int):
+            raise TypeError(f"tau-path effect must be an int or OMEGA, got {effect!r}")
+        elif required == max(0, -effect) and -1 <= effect <= 1:
+            trans.append((src, action, effect, dst))
+            return
         else:
-            assert isinstance(effect, int)
-            if required == max(0, -effect) and -1 <= effect <= 1:
-                trans.append((src, action, effect, dst))
-                return
             walk = [-1] * required + [1] * (effect + required)
         at = src
         act = action

@@ -5,7 +5,8 @@ import pytest
 from click.testing import CliRunner
 
 from nets import random_pair
-from ocnsim.cli import main
+from ocnsim.cli import EXIT_INTERNAL, main
+from ocnsim.coloring import StrongSimEngine
 from ocnsim.core import format_net, parse_net
 
 DATA = Path(__file__).parent / "data"
@@ -42,6 +43,9 @@ def test_check_json_schema():
     assert obj["pair"] == {"left": "p:3", "right": "q:5"}
     assert isinstance(obj["elapsed_ms"], int)
     assert obj["j"] is not None and obj["k"] is not None
+    # a zone answer builds no coloring, so it reports none
+    obj = json.loads(run("check", "--json", A, ACOPY, "p:0", "q:100").output)
+    assert obj["verdict"] == "true" and obj["j"] is None and obj["k"] is None
 
 
 def test_check_weak():
@@ -58,6 +62,37 @@ def test_check_parse_error_names_line():
         assert "line 4" in res.output
     finally:
         bad.unlink()
+
+
+def _raising_decide(monkeypatch, exc):
+    def decide(self, left, right):
+        raise exc("broken\ninvariant")
+
+    monkeypatch.setattr(StrongSimEngine, "decide", decide)
+
+
+@pytest.mark.parametrize("exc", [RecursionError, MemoryError])
+def test_check_resource_exhaustion_is_undecided(monkeypatch, exc):
+    _raising_decide(monkeypatch, exc)
+    res = run("check", "--json", A, ACOPY, "p:3", "q:5")
+    assert res.exit_code == 2
+    obj = json.loads(res.stdout)
+    assert obj["verdict"] == "undecided" and obj["j"] is None
+    res = run("check", A, ACOPY, "p:3", "q:5")
+    assert res.exit_code == 2
+    assert res.stdout == "simulated: undecided\n"
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, ValueError, KeyError])
+def test_check_internal_error_exit_70(monkeypatch, exc):
+    _raising_decide(monkeypatch, exc)
+    for flags in ((), ("--json",)):
+        res = run("check", *flags, A, ACOPY, "p:3", "q:5")
+        assert res.exit_code == EXIT_INTERNAL == 70
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1
+        assert exc.__name__ in res.stderr
+    assert run("check", A, ACOPY, "p:x", "q:5").exit_code == 64
 
 
 def test_check_binary_magnitude_counters():

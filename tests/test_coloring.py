@@ -5,13 +5,11 @@ import pytest
 from nets import NET_A, NET_ACOPY, NET_B, NET_Z, random_pair
 from ocnsim.core import Config, Ocn, normalize_pair
 from ocnsim.coloring import (
-    Belt,
     GeometryError,
     PairGeometry,
     StrongSimEngine,
     decide_strong,
     find_equal_cross_sections,
-    initial_rectangle,
     solve_quotient,
     spoiler_bounded_win,
     verify_coloring,
@@ -22,42 +20,6 @@ from ocnsim.oracle import bounded_round_winner
 
 def _engine(spoiler, duplicator, **kw):
     return StrongSimEngine(spoiler, duplicator, **kw)
-
-
-# ---------------------------------------------------------------------------
-# initial rectangle
-
-
-def test_initial_rectangle_single_belt_corner_rule():
-    belts = [Belt(("p", "q"), Slope(1, 1), 4)]
-    lx, ly = initial_rectangle(belts)
-    geo = PairGeometry(("p", "q"), Slope(1, 1), 4, (0, 0), 0, 1)
-    assert not geo.in_belt((lx, ly))
-
-
-def test_initial_rectangle_two_belts_disjoint_outside():
-    belts = [
-        Belt(("p", "q"), Slope(1, 1), 4),
-        Belt(("p", "r"), Slope(2, 1), 4),
-    ]
-    lx, ly = initial_rectangle(belts)
-    geos = [PairGeometry(b.pair, b.slope, b.c, (0, 0), 0, 1) for b in belts]
-    assert not any(g.in_belt((lx, ly)) for g in geos)
-    for n in range(0, 1000, 7):
-        for m in range(0, 1000, 7):
-            if n <= lx and m <= ly:
-                continue
-            assert not (geos[0].in_belt((n, m)) and geos[1].in_belt((n, m)))
-
-
-def test_initial_rectangle_parallel_belts_only():
-    belts = [
-        Belt(("p", "q"), Slope(1, 1), 2),
-        Belt(("p", "r"), Slope(2, 2), 3),
-    ]
-    lx, ly = initial_rectangle(belts)
-    geos = [PairGeometry(b.pair, b.slope, b.c, (0, 0), 0, 1) for b in belts]
-    assert not any(g.in_belt((lx, ly)) for g in geos)
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,17 @@ from ocnsim.core import (
     NetError,
     Ocn,
     ParseError,
-    ProductPath,
     build_product,
     format_net,
     graph_parameters,
-    lasso_split,
     normalize_pair,
     parse_net,
     steps,
 )
+from ocnsim.coloring import GeometryError, SpoilerAttractor
+from ocnsim.geometry import Slope
 from ocnsim.oracle import bounded_round_winner
+from ocnsim.slope_game import SlopeGameSolver
 
 
 def test_steps_minus_one_disabled_at_zero():
@@ -138,61 +139,31 @@ def test_build_product_edge_count_formula():
         assert len(g.edges) == expected
 
 
-def _path(g, start, *hops):
-    """Build a ProductPath following (action, dst) hops, picking any edge."""
-    path = ProductPath(start)
-    for dst in hops:
-        edge = next(e for e in g.out[path.end] if e[4] == dst)
-        path = path.extend(edge)
-    return path
-
-
-def test_lasso_split_self_loop():
-    sn, dn = normalize_pair(NET_A, NET_ACOPY)
-    g = build_product(sn, dn)
-    p = _path(g, ("p", "q"), ("p", "q"))
-    split = lasso_split(p)
-    assert split is not None
-    assert split.prefix.edges == ()
-    assert split.cycle.edges == p.edges
-
-
-def test_lasso_split_acyclic_and_early_cycle():
-    nodes = ("v0", "v1", "v2")
-    sp = Ocn("S", nodes, ("a",), (("v0", "a", 0, "v1"), ("v1", "a", 0, "v2"), ("v2", "a", 0, "v1")))
-    dup = Ocn("D", ("d",), ("a",), (("d", "a", 0, "d"),))
-    g = build_product(sp, dup)
-    acyclic = _path(g, ("v0", "d"), ("v1", "d"), ("v2", "d"))
-    assert lasso_split(acyclic) is None
-    lasso = _path(g, ("v0", "d"), ("v1", "d"), ("v2", "d"), ("v1", "d"))
-    split = lasso_split(lasso)
-    assert split is not None
-    assert split.prefix.nodes() == [("v0", "d"), ("v1", "d")]
-    assert split.cycle.nodes() == [("v1", "d"), ("v2", "d"), ("v1", "d")]
-    # a repetition before the end is not a lasso
-    longer = lasso.extend(next(e for e in g.out[("v1", "d")] if e[4] == ("v2", "d")))
-    assert lasso_split(longer) is None
-
-
-def test_lasso_split_reconstructs_input():
-    rng = random.Random(3)
-    for seed in range(40):
-        n, m = random_pair(seed)
-        sn, dn = normalize_pair(n, m)
+def test_product_moves_follow_transition_order():
+    for seed in range(20):
+        sn, dn = normalize_pair(*random_pair(seed))
         g = build_product(sn, dn)
-        node = rng.choice(g.nodes)
-        path = ProductPath(node)
-        for _ in range(12):
-            edges = g.out.get(path.end, ())
-            if not edges:
-                break
-            path = path.extend(rng.choice(edges))
-            split = lasso_split(path)
-            if split is not None:
-                assert split.prefix.edges + split.cycle.edges == path.edges
-                pe, ce = split.prefix.effect, split.cycle.effect
-                assert (pe[0] + ce[0], pe[1] + ce[1]) == path.effect
-                break
+        for q, q2 in g.nodes:
+            expected = []
+            for s, a, d, p in sn.transitions:
+                if s == q:
+                    replies = [
+                        (d2, (p, p2)) for s2, b, d2, p2 in dn.transitions if (s2, b) == (q2, a)
+                    ]
+                    expected.append((a, d, tuple(replies)))
+            assert g.moves[(q, q2)] == tuple(expected)
+        assert sum(len(r) for ms in g.moves.values() for _, _, r in ms) == len(g.edges)
+
+
+def test_product_moves_keep_unanswered_rules():
+    sp = Ocn("S", ("p",), ("a", "b"), (("p", "b", 0, "p"), ("p", "a", 0, "p")))
+    dup = Ocn("D", ("q",), ("a", "b"), (("q", "a", 1, "q"),))
+    g = build_product(sp, dup)
+    assert g.moves[("p", "q")] == (("b", 0, ()), ("a", 0, ((1, ("p", "q")),)))
+    with pytest.raises(RuntimeError, match="normalized"):
+        SlopeGameSolver(g).solve(("p", "q"), Slope(1, 1))
+    with pytest.raises(GeometryError, match="not normalized"):
+        SpoilerAttractor(g)
 
 
 def test_graph_parameters_self_loop():

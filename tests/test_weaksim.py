@@ -15,13 +15,6 @@ from ocnsim.weaksim import (
 )
 
 
-def test_omega_net_semantics():
-    net = OmegaNet("W", ("x", "y"), ("a",), (("x", "a", OMEGA, "y"),))
-    assert net.can_step(Config("x", 3), "a", Config("y", 4))
-    assert net.can_step(Config("x", 3), "a", Config("y", 100))
-    assert not net.can_step(Config("x", 3), "a", Config("y", 3))
-
-
 def test_tau_profiles_simple_chain():
     net = Ocn(
         "D", ("q", "x", "y"), ("a", "tau"),
