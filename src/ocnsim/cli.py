@@ -2,8 +2,10 @@
 
 Exit codes: 0 = simulated, 1 = not simulated, 2 = undecided at the resource
 caps (running out of recursion depth or memory counts as a cap), 64 = input
-parse error, 70 = internal error (`check` prints one line to stderr and no
-verdict).
+parse error, 70 = internal error.  Every command keeps to them: running out
+of recursion depth or memory exits 2 (`check` prints its normal `undecided`
+verdict, the others one line on stderr), and any other internal exception
+prints one line on stderr and exits 70.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ def _limits(max_depth: int | None, max_period: int | None, max_rect: int | None)
     limits = EngineLimits()
     if max_depth is not None:
         limits.spoiler_depth_cap = max_depth
-        limits.depth0 = min(limits.depth0, max_depth)
     if max_period is not None:
         limits.k_schedule = tuple(k for k in limits.k_schedule if k <= max_period) or (1,)
     if max_rect is not None:
@@ -63,7 +64,28 @@ def _limits(max_depth: int | None, max_period: int | None, max_rect: int | None)
     return limits
 
 
-@click.group()
+def _exit_with(code: int, label: str, exc: BaseException) -> None:
+    message = f"{label}: {type(exc).__name__}: {exc}"
+    click.echo(" ".join(message.split()), err=True)
+    sys.exit(code)
+
+
+class _Commands(click.Group):
+    """Maps an exception escaping any command to one stderr line and an exit
+    code, so that a crash never reads as a verdict."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (click.exceptions.Exit, click.Abort, click.ClickException):
+            raise
+        except (RecursionError, MemoryError) as exc:
+            _exit_with(EXIT_UNDECIDED, "undecided", exc)
+        except Exception as exc:
+            _exit_with(EXIT_INTERNAL, "internal error", exc)
+
+
+@click.group(cls=_Commands)
 def main() -> None:
     """Decide strong and weak simulation preorder between one-counter nets."""
 
@@ -118,10 +140,6 @@ def check(mode, tau, as_json, max_depth, max_period, max_rect, dump_dir,
                     )
     except (RecursionError, MemoryError):
         answer = None  # out of stack or memory: a resource cap, not a verdict
-    except Exception as exc:
-        message = f"internal error: {type(exc).__name__}: {exc}"
-        click.echo(" ".join(message.split()), err=True)
-        sys.exit(EXIT_INTERNAL)
     if engine is not None:
         belts_used = len(engine.scope)
         col = next((c for c in engine.colorings.values() if c.certified_yes), None)
@@ -189,23 +207,17 @@ def _render_ascii(engine: StrongSimEngine, pair, size: int) -> str:
 def _render_svg(engine: StrongSimEngine, pair, size: int) -> str:
     cell = 10
     span = size * cell
-    scan = engine.scans[pair]
-    c = engine.c_pair[pair]
+    belt = next(b for b in engine.belts() if b.pair == pair)
+    # trivially simulated zone, trivially excluded zone, belt strip
+    zone_fill = {True: "#d8f0d8", False: "#f0d8d8", None: "#d8e4f4"}
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{span}" height="{span}" viewBox="0 0 {span} {span}">',
         f'<rect width="{span}" height="{span}" fill="white"/>',
     ]
-    from .geometry import c_above, c_below
-
     for n in range(size):
         for m in range(size):
-            if c_above((n, m), scan.boundary, c):
-                fill = "#d8f0d8"  # trivially simulated zone
-            elif c_below((n, m), scan.boundary, c):
-                fill = "#f0d8d8"  # trivially excluded zone
-            else:
-                fill = "#d8e4f4"  # belt strip
+            fill = zone_fill[belt.zone((n, m))]
             x = n * cell
             y = (size - 1 - m) * cell
             parts.append(f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" fill="{fill}"/>')

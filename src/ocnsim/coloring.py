@@ -13,6 +13,7 @@ is exact once (j, k) are large enough; verification makes that checkable.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from math import ceil
 
@@ -57,26 +58,34 @@ class Belt:
     def vertical(self) -> bool:
         return self.slope == Slope(0, 1)
 
+    def zone(self, pt: Point) -> bool | None:
+        """True above the belt (simulated), False below it (not simulated),
+        None inside it."""
+        if c_above(pt, self.slope, self.c):
+            return True
+        if c_below(pt, self.slope, self.c):
+            return False
+        return None
+
 
 @dataclass(frozen=True)
-class PairGeometry:
+class PairGeometry(Belt):
     """Belt geometry of one pair instantiated over a window (l0, j, k)."""
 
-    pair: Node
-    slope: Slope
-    c: int
     l0: Point
     j: int
     k: int
 
-    def zone_above(self, pt: Point) -> bool:
-        return c_above(pt, self.slope, self.c)
-
-    def zone_below(self, pt: Point) -> bool:
-        return c_below(pt, self.slope, self.c)
-
     def in_belt(self, pt: Point) -> bool:
-        return not self.zone_above(pt) and not self.zone_below(pt)
+        return self.zone(pt) is None
+
+    def resolve(self, pt: Point) -> bool | Point:
+        """The zone value of a point, or else the window point standing for
+        it: the point itself inside rect(j + k), its wrap beyond."""
+        zone = self.zone(pt)
+        if zone is not None:
+            return zone
+        return pt if self.in_rect(pt, self.j + self.k) else self.wrap(pt)
 
     def rect_cap(self, j: int) -> Point:
         return (self.l0[0] + j * self.slope.rho, self.l0[1] + j * self.slope.rho_prime)
@@ -162,12 +171,9 @@ class PeriodicColoring:
         zone, plus init/aper, plus the periodic block under k*slope shifts."""
         pc = self.pairs[pair]
         geo = self.geometry(pair)
-        if geo.zone_above(pt):
-            return True
-        if geo.zone_below(pt):
-            return False
-        if not geo.in_rect(pt, pc.j + pc.k):
-            pt = geo.wrap(pt)
+        pt = geo.resolve(pt)
+        if isinstance(pt, bool):
+            return pt
         if pt[0] <= self.l0[0] and pt[1] <= self.l0[1]:
             return pt in pc.init
         if geo.in_rect(pt, pc.j):
@@ -236,23 +242,18 @@ class QuotientColoring:
         self.geometry = geometry
         self.values = self._solve() if values is None else values
         self.certified_yes = False
-        self.no_confirmed_depth: int | None = None
         self.exact = False
 
     # -- lookup ------------------------------------------------------------
 
     def lookup(self, pair: Node, pt: Point) -> bool:
-        geo = self.geometry[pair]
-        if geo.zone_above(pt):
-            return True
-        if geo.zone_below(pt):
-            return False
-        if not geo.in_rect(pt, geo.j + geo.k):
-            pt = geo.wrap(pt)
+        slot = self.geometry[pair].resolve(pt)
+        if isinstance(slot, bool):
+            return slot
         try:
-            return self.values[pair][pt]
+            return self.values[pair][slot]
         except KeyError as exc:
-            raise GeometryError(f"{pair}: {pt} missing from window") from exc
+            raise GeometryError(f"{pair}: {slot} missing from window") from exc
 
     def _alternatives(self, pair: Node, pt: Point):
         """Enabled one-round alternatives: per enabled Spoiler rule, the list
@@ -265,21 +266,11 @@ class QuotientColoring:
 
     # -- greatest fixpoint ---------------------------------------------------
 
-    def _resolve(self, pair: Node, pt: Point):
-        """Constant value for zone points, else the window slot a lookup hits."""
-        geo = self.geometry[pair]
-        if geo.zone_above(pt):
-            return True
-        if geo.zone_below(pt):
-            return False
-        if not geo.in_rect(pt, geo.j + geo.k):
-            pt = geo.wrap(pt)
-        return (pair, pt)
-
     def _solve(self) -> dict[Node, dict[Point, bool]]:
+        geometry = self.geometry
         values = {
             pair: dict.fromkeys(geo.window_points(), True)
-            for pair, geo in self.geometry.items()
+            for pair, geo in geometry.items()
         }
 
         conds: dict[tuple[Node, Point], list[list[object]]] = {}
@@ -290,12 +281,13 @@ class QuotientColoring:
                 for replies in self._alternatives(pair, pt):
                     slots: list[object] = []
                     for tgt_pair, tgt_pt in replies:
-                        slot = self._resolve(tgt_pair, tgt_pt)
-                        if slot is True:
+                        res = geometry[tgt_pair].resolve(tgt_pt)
+                        if res is True:
                             slots = [True]
                             break
-                        if slot is False:
+                        if res is False:
                             continue
+                        slot = (tgt_pair, res)
                         slots.append(slot)
                         readers.setdefault(slot, []).append((pair, pt))
                     groups.append(slots)
@@ -360,9 +352,6 @@ class QuotientColoring:
         checked conditions repeat verbatim, so all translates are covered.
         """
         failures: list[str] = []
-        succ_pairs: dict[Node, set[Node]] = {}
-        for e in self.product.edges:
-            succ_pairs.setdefault(e[0], set()).add(e[4])
         for pair, geo in self.geometry.items():
             fringe = self.fringe(pair)
             true_fringe = [pt for pt in fringe if self.values[pair][pt]]
@@ -371,7 +360,7 @@ class QuotientColoring:
             step = (geo.k * geo.slope.rho, geo.k * geo.slope.rho_prime)
             bbox = _bbox_with_margin(true_fringe, 1)
             horizon = 1
-            for other in succ_pairs.get(pair, set()) | {pair}:
+            for other in {*self.product.successors[pair], pair}:
                 og = self.geometry[other]
                 if og.slope == geo.slope:
                     if og.k != geo.k:
@@ -389,6 +378,11 @@ class QuotientColoring:
                         failures.append(f"{pair}: condition fails at translate {cand}")
                         break
         return failures
+
+    def false_points(self) -> tuple[list[tuple[Node, Point]], int]:
+        """The excluded window points and their largest coordinate (0 if none)."""
+        pts = [(pair, pt) for pair, vals in self.values.items() for pt, v in vals.items() if not v]
+        return pts, max((max(pt) for _, pt in pts), default=0)
 
     def to_periodic_coloring(self) -> PeriodicColoring:
         pairs = {}
@@ -593,7 +587,7 @@ def spoiler_bounded_win(
 
 
 def _symmetric_geometry(
-    belts: list[Belt], l0: Point, j: int, k: int
+    belts: Iterable[Belt], l0: Point, j: int, k: int
 ) -> dict[Node, PairGeometry]:
     return {b.pair: PairGeometry(b.pair, b.slope, b.c, l0, j, k) for b in belts}
 
@@ -646,13 +640,7 @@ def verify_coloring(
     report.periodicity_failures.extend(col.certify_periodicity(horizon_cap))
     if check_no:
         att = SpoilerAttractor(product)
-        bound = 0
-        false_pts = []
-        for pair in pc.pairs:
-            for pt, v in col.values[pair].items():
-                if not v:
-                    false_pts.append((pair, pt))
-                    bound = max(bound, pt[0], pt[1])
+        false_pts, bound = col.false_points()
         att.ensure(bound=bound + spoiler_depth_cap, max_rank=spoiler_depth_cap)
         for pair, pt in false_pts:
             r = att.rank(pair, pt)
@@ -662,11 +650,7 @@ def verify_coloring(
 
 
 def find_equal_cross_sections(
-    pc: PeriodicColoring | QuotientColoring,
-    pair: Node,
-    *,
-    max_shift: int = 4,
-    max_level: int | None = None,
+    col: QuotientColoring, pair: Node, *, max_shift: int = 4
 ) -> tuple[int, int, int] | None:
     """First pair of equal cross-sections of a pair's coloring.
 
@@ -675,7 +659,7 @@ def find_equal_cross_sections(
     slope.  Steep belts are scanned along Duplicator's axis, shallow belts
     along Spoiler's.  Returns (level1, level2, k) or None within the bound.
     """
-    geo = pc.geometry[pair] if isinstance(pc, QuotientColoring) else pc.geometry(pair)
+    geo = col.geometry[pair]
     s = geo.slope
     steep = s.rho_prime >= s.rho
     axis, step = (1, s.rho_prime) if steep else (0, s.rho)
@@ -683,12 +667,10 @@ def find_equal_cross_sections(
         return None
     cap = geo.rect_cap(geo.j + geo.k)
     top = cap[axis] - 1
-    if max_level is not None:
-        top = min(top, max_level)
 
     by_level: dict[int, set[Point]] = {}
     for pt in geo.window_points():
-        if pc.lookup(pair, pt):
+        if col.lookup(pair, pt):
             by_level.setdefault(pt[axis], set()).add(pt)
 
     def true_section(level: int) -> frozenset[Point]:
@@ -710,17 +692,22 @@ def find_equal_cross_sections(
 # Engine
 
 
+# The escalation schedule: the window corner is (w, w) with w >= W0; round i
+# searches Spoiler wins DEPTH0 * 2**i deep; certification follows a wrap
+# target's translates up to HORIZON_CAP steps.
+W0 = 24
+DEPTH0 = 32
+MAX_ROUNDS = 5
+HORIZON_CAP = 256
+
+
 @dataclass
 class EngineLimits:
     """Resource caps for the escalation loop; exceeding them yields an honest
     "undecided" answer, never a wrong one."""
 
-    w0: int = 24
     k_schedule: tuple[int, ...] = (1, 2, 3, 4, 6, 8)
-    depth0: int = 32
-    max_rounds: int = 5
     spoiler_depth_cap: int = 4096
-    horizon_cap: int = 256
     max_rect: int = 20000
 
 
@@ -757,7 +744,10 @@ class StrongSimEngine:
         self.c_pair = {
             node: max(scan.c_above, scan.c_below) for node, scan in self.scans.items()
         }
-        self.w = max(self.limits.w0, max(self.c_pair.values(), default=0) + 2)
+        self._belts = {
+            node: Belt(node, scan.boundary, self.c_pair[node]) for node, scan in self.scans.items()
+        }
+        self.w = max(W0, max(self.c_pair.values(), default=0) + 2)
         self.colorings: dict[tuple[int, int], QuotientColoring] = {}
         self._attractor = SpoilerAttractor(self.product, self.scope)
 
@@ -779,25 +769,10 @@ class StrongSimEngine:
     # -- geometry ------------------------------------------------------------
 
     def belts(self) -> list[Belt]:
-        return [
-            Belt(node, scan.boundary, self.c_pair[node])
-            for node, scan in sorted(self.scans.items())
-        ]
+        return [belt for _, belt in sorted(self._belts.items())]
 
     def geometry(self, j: int, k: int) -> dict[Node, PairGeometry]:
-        l0 = (self.w, self.w)
-        return {
-            node: PairGeometry(node, scan.boundary, self.c_pair[node], l0, j, k)
-            for node, scan in self.scans.items()
-        }
-
-    def _zone_value(self, pair: Node, pt: Point) -> bool | None:
-        scan = self.scans[pair]
-        if c_above(pt, scan.boundary, self.c_pair[pair]):
-            return True
-        if c_below(pt, scan.boundary, self.c_pair[pair]):
-            return False
-        return None
+        return _symmetric_geometry(self._belts.values(), (self.w, self.w), j, k)
 
     # -- escalation ----------------------------------------------------------
 
@@ -805,11 +780,10 @@ class StrongSimEngine:
         c_max = max(self.c_pair.values(), default=0)
         j0 = self.w + 2 * c_max + 1
         out = []
-        for i in range(self.limits.max_rounds):
+        for i in range(MAX_ROUNDS):
             k = self.limits.k_schedule[min(i, len(self.limits.k_schedule) - 1)]
             j = min(j0 * (2 ** max(0, i - 1)), self.limits.max_rect)
-            depth = self.limits.depth0 * (2**i)
-            out.append((j, k, min(depth, self.limits.spoiler_depth_cap)))
+            out.append((j, k, min(DEPTH0 * 2**i, self.limits.spoiler_depth_cap)))
         return out
 
     def coloring(self, j: int, k: int) -> QuotientColoring:
@@ -817,7 +791,7 @@ class StrongSimEngine:
         col = self.colorings.get(key)
         if col is None:
             col = QuotientColoring(self.product, self.geometry(j, k))
-            failures = col.certify_periodicity(self.limits.horizon_cap)
+            failures = col.certify_periodicity(HORIZON_CAP)
             col.certified_yes = not failures
             self.colorings[key] = col
         return col
@@ -839,16 +813,9 @@ class StrongSimEngine:
             return True
         if not col.certified_yes:
             return False
-        bound = 0
-        false_pts = []
-        for pair, vals in col.values.items():
-            for pt, v in vals.items():
-                if not v:
-                    false_pts.append((pair, pt))
-                    bound = max(bound, pt[0], pt[1])
+        false_pts, bound = col.false_points()
         # window ranks scale with the window, so escalate gently before
         # spending the full configured cap
-        cap = None
         for attempt in (2 * bound + 64, 8 * bound + 256, self.limits.spoiler_depth_cap):
             attempt = min(attempt, self.limits.spoiler_depth_cap)
             self._attractor.ensure(bound=bound + attempt, max_rank=attempt)
@@ -856,16 +823,12 @@ class StrongSimEngine:
                 (r := self._attractor.rank(pair, pt)) is not None and r <= attempt
                 for pair, pt in false_pts
             ):
-                cap = attempt
                 break
             if attempt >= self.limits.spoiler_depth_cap:
                 return False
-        if cap is None:
-            return False
         for pair in col.values:
             if any(col.values[pair].values()) and find_equal_cross_sections(col, pair) is None:
                 return False
-        col.no_confirmed_depth = cap
         col.exact = True
         return True
 
@@ -879,7 +842,7 @@ class StrongSimEngine:
         if pair not in self.scans:
             raise GeometryError(f"unknown state pair {pair}")
         pt: Point = (ln, rn)
-        zone = self._zone_value(pair, pt)
+        zone = self._belts[pair].zone(pt)
         if zone is not None:
             return zone
         attractor_feasible = max(pt) <= 4 * self.limits.max_rect
@@ -891,7 +854,8 @@ class StrongSimEngine:
                 return False
             if not attractor_feasible and self._ensure_exact(col):
                 return col.lookup(pair, pt)
-        col = next((c for c in self.colorings.values() if c.certified_yes), None)
+        # every round's coloring is built by now, so this builds nothing
+        col = self.certified_coloring()
         if col is not None and self._ensure_exact(col):
             return col.lookup(pair, pt)
         return None

@@ -261,7 +261,10 @@ def scan_pair(
     below the first Duplicator win.  Margins multiply segment depths by
     margin_k, the number of product states the game can actually reach.
     """
-    outcomes = [RepOutcome(s, *_as_pair(solver.solve(node, s))) for s in reps]
+    outcomes = []
+    for s in reps:
+        res = solver.solve(node, s)
+        outcomes.append(RepOutcome(s, res.winner, res.segment_depth))
     for earlier, later in zip(outcomes, outcomes[1:]):
         if earlier.winner == DUPLICATOR and later.winner == SPOILER:
             raise RuntimeError(f"slope-game monotonicity violated at {node}")
@@ -283,10 +286,6 @@ def scan_pair(
         c_above = K * win.segment_depth
         c_below = K * outcomes[first_dup - 1].segment_depth
     return PairScan(node, boundary, tuple(outcomes), c_above, c_below)
-
-
-def _as_pair(res: SlopeGameResult) -> tuple[Player, int]:
-    return res.winner, res.segment_depth
 
 
 def boundary_slope(g: ProductGraph, node: Node) -> Slope:

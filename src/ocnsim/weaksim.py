@@ -92,58 +92,31 @@ def tau_profiles(net: Ocn, tau: str) -> TauProfiles:
     profiles: dict[tuple[str, str], list[tuple[int, int]]] = {
         (s, s): [(0, 0)] for s in net.states
     }
+    # least entry requirement of a strictly positive simple cycle per state
+    cycle_req: dict[str, int] = {}
 
-    def explore(start: str) -> None:
+    for start in net.states:
         # DFS over simple paths; effect and minimum prefix tracked exactly
         stack = [(start, frozenset([start]), 0, 0)]
         while stack:
             at, visited, eff, minpref = stack.pop()
             for d, nxt in edges.get(at, ()):
-                if nxt in visited:
-                    continue
                 e2 = eff + d
                 mp2 = min(minpref, e2)
-                profiles.setdefault((start, nxt), []).append((e2, -mp2))
-                stack.append((nxt, visited | {nxt}, e2, mp2))
-
-    for s in net.states:
-        explore(s)
+                if nxt == start:
+                    if e2 > 0:
+                        cycle_req[start] = min(cycle_req.get(start, -mp2), -mp2)
+                elif nxt not in visited:
+                    profiles.setdefault((start, nxt), []).append((e2, -mp2))
+                    stack.append((nxt, visited | {nxt}, e2, mp2))
     profiles = {k: _pareto(v) for k, v in profiles.items()}
 
-    # strictly positive simple cycles with their entry requirement
-    cycle_req: dict[str, int] = {}
-    for s in net.states:
-        stack = [(s, frozenset([s]), 0, 0)]
-        while stack:
-            at, visited, eff, minpref = stack.pop()
-            for d, nxt in edges.get(at, ()):
-                e2 = eff + d
-                mp2 = min(minpref, e2)
-                if nxt == s:
-                    if e2 > 0:
-                        req = -mp2
-                        if s not in cycle_req or req < cycle_req[s]:
-                            cycle_req[s] = req
-                    continue
-                if nxt not in visited:
-                    stack.append((nxt, visited | {nxt}, e2, mp2))
-
-    reach: dict[str, set[str]] = {s: {s} for s in net.states}
-    changed = True
-    while changed:
-        changed = False
-        for s in net.states:
-            for _, t in edges.get(s, ()):
-                new = reach[t] - reach[s]
-                if new:
-                    reach[s] |= new
-                    changed = True
-
+    # y is tau-reachable from z exactly when (z, y) has a profile
     pump_required: dict[tuple[str, str], int | None] = {}
     for x, y in itertools.product(net.states, net.states):
         best: int | None = None
         for z, creq in cycle_req.items():
-            if y not in reach[z]:
+            if (z, y) not in profiles:
                 continue
             for e1, r1 in profiles.get((x, z), ()):
                 need = max(r1, creq - e1)

@@ -95,6 +95,40 @@ def test_check_internal_error_exit_70(monkeypatch, exc):
     assert run("check", A, ACOPY, "p:x", "q:5").exit_code == 64
 
 
+@pytest.mark.parametrize("exc,code", [(RuntimeError, 70), (RecursionError, 2), (MemoryError, 2)])
+@pytest.mark.parametrize(
+    "method,args",
+    [
+        ("decide", ("render", "--pair", "p,q", "--max", "4", A, ACOPY)),
+        ("belts", ("belts", A, ACOPY)),
+        ("export_coloring", ("export", "--out", "OUT", A, ACOPY)),
+    ],
+)
+def test_every_command_maps_internal_errors(monkeypatch, tmp_path, method, args, exc, code):
+    def broken(self, *_):
+        raise exc("broken\ninvariant")
+
+    monkeypatch.setattr(StrongSimEngine, method, broken)
+    out = tmp_path / "out.json"
+    res = run(*(str(out) if a == "OUT" else a for a in args))
+    assert res.exit_code == code
+    assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1
+    assert exc.__name__ in res.stderr
+    assert not out.exists()
+
+
+def test_check_limit_flags():
+    res = run("check", "--json", "--max-rect", "10", A, ACOPY, "p:3", "q:5")
+    assert res.exit_code == 0 and json.loads(res.output)["j"] == 10
+    # a depth cap of 1 cannot confirm the Spoiler win the default finds
+    # (test_check_false_exit_one)
+    res = run("check", "--max-depth", "1", A, ACOPY, "p:5", "q:3")
+    assert res.exit_code == 2 and res.output == "simulated: undecided\n"
+    res = run("check", "--json", "--max-period", "1", A, ACOPY, "p:3", "q:5")
+    assert res.exit_code == 0 and json.loads(res.output)["k"] == 1
+
+
 def test_check_binary_magnitude_counters():
     res = run("check", "--strong", A, ACOPY, f"p:{10**12}", f"q:{10**12 + 5}")
     assert res.exit_code == 0

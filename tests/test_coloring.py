@@ -113,6 +113,33 @@ def test_window_points_match_zone_predicates():
         assert set(geo.window_points()) == expect
 
 
+def test_resolve_matches_zones_and_window():
+    # geometries shaped as the engine builds them: l0 = (w, w) with
+    # w >= c + 2 and j >= w + 2c + 1, so every wrap lands in the window
+    rng = random.Random(11)
+    for _ in range(40):
+        while True:
+            x, y = rng.randint(0, 4), rng.randint(0, 4)
+            if (x, y) != (0, 0):
+                break
+        c = rng.randint(0, 4)
+        w = c + 2 + rng.randint(0, 3)
+        j = w + 2 * c + 1 + rng.randint(0, 3)
+        geo = PairGeometry(("a", "b"), Slope(x, y), c, (w, w), j, rng.randint(1, 3))
+        window = set(geo.window_points())
+        X, Y = geo.rect_cap(geo.j + geo.k)
+        reach = 2 * geo.k * max(x, y)
+        for n in range(X + reach + 1):
+            for m in range(Y + reach + 1):
+                res = geo.resolve((n, m))
+                if c_above((n, m), geo.slope, c):
+                    assert res is True
+                elif c_below((n, m), geo.slope, c):
+                    assert res is False
+                else:
+                    assert res in window
+
+
 def test_quotient_wrap_geometry_error():
     eng = _engine(NET_A, NET_ACOPY)
     col = eng.certified_coloring()

@@ -35,6 +35,16 @@ def test_tau_profiles_pump():
     assert prof.pump_required[("q", "q")] == 0
 
 
+def test_tau_profiles_pump_then_two_hops():
+    net = Ocn(
+        "D", ("q", "z", "m", "y"), ("a", "tau"),
+        (("q", "tau", 0, "z"), ("z", "tau", 1, "z"), ("z", "tau", 0, "m"), ("m", "tau", -1, "y")),
+    )
+    prof = tau_profiles(net, "tau")
+    assert prof.pump_required[("q", "y")] == 0
+    assert prof.pump_required[("m", "y")] is None
+
+
 def test_reduce_no_tau_is_identity_on_answers():
     for seed in range(6):
         n, m = random_pair(seed)
