@@ -2,10 +2,11 @@
 
 Exit codes: 0 = simulated, 1 = not simulated, 2 = undecided at the resource
 caps (running out of recursion depth or memory counts as a cap), 64 = input
-parse error, 70 = internal error.  Every command keeps to them: running out
-of recursion depth or memory exits 2 (`check` prints its normal `undecided`
-verdict, the others one line on stderr), and any other internal exception
-prints one line on stderr and exits 70.
+parse error or command line usage error (EX_USAGE), 70 = internal error.
+Every command keeps to them: a bad option value or a missing argument exits
+64, running out of recursion depth or memory exits 2 (`check` prints its
+normal `undecided` verdict, the others one line on stderr), and any other
+internal exception prints one line on stderr and exits 70.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ EXIT_FALSE = 1
 EXIT_UNDECIDED = 2
 EXIT_PARSE = 64
 EXIT_INTERNAL = 70
+
+NATURAL = click.IntRange(min=0)
+POSITIVE = click.IntRange(min=1)
 
 
 def _load_net(path: str) -> Ocn:
@@ -53,17 +57,6 @@ def _parse_config(literal: str, net: Ocn, path: str) -> Config:
     return Config(state, int(counter))
 
 
-def _limits(max_depth: int | None, max_period: int | None, max_rect: int | None) -> EngineLimits:
-    limits = EngineLimits()
-    if max_depth is not None:
-        limits.spoiler_depth_cap = max_depth
-    if max_period is not None:
-        limits.k_schedule = tuple(k for k in limits.k_schedule if k <= max_period) or (1,)
-    if max_rect is not None:
-        limits.max_rect = max_rect
-    return limits
-
-
 def _exit_with(code: int, label: str, exc: BaseException) -> None:
     message = f"{label}: {type(exc).__name__}: {exc}"
     click.echo(" ".join(message.split()), err=True)
@@ -72,11 +65,22 @@ def _exit_with(code: int, label: str, exc: BaseException) -> None:
 
 class _Commands(click.Group):
     """Maps an exception escaping any command to one stderr line and an exit
-    code, so that a crash never reads as a verdict."""
+    code, so that neither a crash nor a usage error reads as a verdict."""
+
+    def make_context(self, *args, **kwargs) -> click.Context:
+        # the group's own usage errors: an unknown option, no command
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            exc.exit_code = EXIT_PARSE
+            raise
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
+        except click.UsageError as exc:
+            exc.exit_code = EXIT_PARSE
+            raise
         except (click.exceptions.Exit, click.Abort, click.ClickException):
             raise
         except (RecursionError, MemoryError) as exc:
@@ -95,9 +99,12 @@ def main() -> None:
 @click.option("--weak", "mode", flag_value="weak")
 @click.option("--tau", default="tau", show_default=True, help="internal action for --weak")
 @click.option("--json", "as_json", is_flag=True, help="machine-readable verdict")
-@click.option("--max-depth", type=int, default=None, help="bounded Spoiler search cap")
-@click.option("--max-period", type=int, default=None, help="largest period k to try")
-@click.option("--max-rect", type=int, default=None, help="largest window rectangle")
+@click.option("--max-depth", type=NATURAL, default=EngineLimits.spoiler_depth_cap,
+              show_default=True, help="bounded Spoiler search cap")
+@click.option("--max-period", type=POSITIVE, default=max(EngineLimits.k_schedule),
+              show_default=True, help="largest period k to try")
+@click.option("--max-rect", type=NATURAL, default=EngineLimits.max_rect,
+              show_default=True, help="largest window rectangle")
 @click.option(
     "--dump-approximants", "dump_dir", type=click.Path(), default=None,
     help="write each weak approximant net pair into this directory",
@@ -113,7 +120,8 @@ def check(mode, tau, as_json, max_depth, max_period, max_rect, dump_dir,
     duplicator = _load_net(net_b)
     left = _parse_config(conf_a, spoiler, net_a)
     right = _parse_config(conf_b, duplicator, net_b)
-    limits = _limits(max_depth, max_period, max_rect)
+    k_schedule = tuple(k for k in EngineLimits.k_schedule if k <= max_period)
+    limits = EngineLimits(k_schedule, spoiler_depth_cap=max_depth, max_rect=max_rect)
     started = time.monotonic()
     j = k = None
     belts_used = 0
@@ -123,10 +131,7 @@ def check(mode, tau, as_json, max_depth, max_period, max_rect, dump_dir,
             engine = StrongSimEngine(spoiler, duplicator, limits)
             answer = engine.decide(left, right)
         else:
-            decision = decide_weak(
-                spoiler, duplicator, left, right, tau=tau, limits=limits,
-                collect=dump_dir is not None,
-            )
+            decision = decide_weak(spoiler, duplicator, left, right, tau=tau, limits=limits)
             answer = decision.answer
             if dump_dir is not None:
                 out_dir = Path(dump_dir)
@@ -234,7 +239,7 @@ def _render_svg(engine: StrongSimEngine, pair, size: int) -> str:
 
 @main.command()
 @click.option("--pair", "pair_opt", required=True, help="state pair q,q'")
-@click.option("--max", "size", type=int, default=16, show_default=True)
+@click.option("--max", "size", type=POSITIVE, default=16, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["ascii", "svg"]), default="ascii")
 @click.option("--out", type=click.Path(), default=None, help="output file (default stdout)")
 @click.argument("net_a")
@@ -289,10 +294,10 @@ def export(out, pairs_opt, net_a, net_b):
 
 
 @main.command()
-@click.option("--rounds", type=int, default=32, show_default=True)
+@click.option("--rounds", type=NATURAL, default=32, show_default=True)
 @click.option("--weak", is_flag=True)
 @click.option("--tau", default="tau", show_default=True)
-@click.option("--tau-cap", type=int, default=4, show_default=True)
+@click.option("--tau-cap", type=NATURAL, default=4, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 @click.argument("net_a")
 @click.argument("net_b")

@@ -342,7 +342,7 @@ class QuotientColoring:
             if not geo.in_rect((pt[0] + step[0], pt[1] + step[1]), geo.j + geo.k)
         ]
 
-    def certify_periodicity(self, horizon_cap: int = 128) -> list[str]:
+    def certify_periodicity(self) -> list[str]:
         """Verify that the periodic extension is self-supporting.
 
         For every wrap target, the one-step condition is checked explicitly at
@@ -367,7 +367,7 @@ class QuotientColoring:
                         failures.append(f"{pair}: parallel pair {other} has period {og.k} != {geo.k}")
                     continue
                 horizon = max(horizon, _crossing_horizon(bbox, step, og))
-            if horizon > horizon_cap:
+            if horizon > HORIZON_CAP:
                 failures.append(f"{pair}: periodicity horizon {horizon} exceeds cap")
                 continue
             for pt in true_fringe:
@@ -457,30 +457,23 @@ class SpoilerAttractor:
     """Least fixpoint of "Spoiler forces Duplicator stuck" over a bounded
     counter grid.  Cells outside the grid count as not yet won, so membership
     is a sound Spoiler-win certificate; it is complete for positions whose
-    coordinates stay at least `depth` below the grid bound."""
+    coordinates stay at least `depth` below the grid bound.  A cell's rank is
+    the number of rounds within which Spoiler wins from it."""
 
     def __init__(self, product: ProductGraph, scope: tuple[Node, ...] | None = None):
-        self.product = product
-        scope_set = set(scope) if scope is not None else set(product.nodes)
+        self.moves = product.moves
+        self.scope = product.nodes if scope is None else scope
+        # per successor pair, the (pair, delta, delta') moves leading into it;
+        # the scope is successor-closed, so every reply stays inside it
         self._rev: dict[Node, list[tuple[Node, int, int]]] = {}
-        for e in self.product.edges:
-            if e[0] in scope_set and e[4] in scope_set:
-                self._rev.setdefault(e[4], []).append((e[0], e[2], e[3]))
-        self._all_neg: dict[Node, list[tuple[str, int]]] = {}
-        self._pair_rules: dict[Node, list[tuple[int, tuple[tuple[int, Node], ...]]]] = {}
-        for pair in (scope if scope is not None else product.nodes):
-            stuck_rules = []
-            flat = []
-            for a, d, replies in product.moves[pair]:
+        for pair in self.scope:
+            for a, d, replies in self.moves[pair]:
                 if not replies:
                     raise GeometryError(
                         f"pair {pair}: Duplicator has no {a!r} rules (net not normalized)"
                     )
-                if all(d2 == -1 for d2, _ in replies):
-                    stuck_rules.append((a, d))
-                flat.append((d, replies))
-            self._all_neg[pair] = stuck_rules
-            self._pair_rules[pair] = flat
+                for d2, tgt in replies:
+                    self._rev.setdefault(tgt, []).append((pair, d, d2))
         self.won: dict[Node, dict[int, int]] = {}
         self._stride = 1
         self.bound = -1
@@ -503,37 +496,35 @@ class SpoilerAttractor:
     def _compute(self) -> None:
         N = self.bound
         stride = N + 2
+        moves = self.moves
         # per-pair win tables keyed by packed n*stride + m for cheap hashing
-        won: dict[Node, dict[int, int]] = {pair: {} for pair in self._pair_rules}
+        won: dict[Node, dict[int, int]] = {pair: {} for pair in self.scope}
         frontier: list[tuple[Node, int, int]] = []
-        for pair, stuck_rules in self._all_neg.items():
+        for pair in self.scope:
             table = won[pair]
-            for a, d in stuck_rules:
-                lo = 0 if d >= 0 else 1
-                for n in range(lo, N + 1):
-                    packed = n * stride
-                    if packed not in table:
-                        table[packed] = 1
+            for _, d, replies in moves[pair]:
+                # at m = 0 Duplicator cannot answer a rule whose replies all
+                # decrement
+                if any(d2 != -1 for d2, _ in replies):
+                    continue
+                for n in range(0 if d >= 0 else 1, N + 1):
+                    if n * stride not in table:
+                        table[n * stride] = 1
                         frontier.append((pair, n, 0))
 
-        pair_rules = self._pair_rules
-
         def wins_now(pair: Node, n: int, m: int) -> bool:
-            # a reply leading outside the grid counts as unresolved, not won
-            for d, replies in pair_rules[pair]:
+            # a reply leading outside the grid counts as unresolved, and one
+            # won in the current round does not count as won yet
+            for _, d, replies in moves[pair]:
                 nn = n + d
                 if nn < 0 or nn > N:
                     continue
                 base = nn * stride
-                ok = True
                 for d2, tpair in replies:
                     mm = m + d2
-                    if mm < 0:
-                        continue
-                    if mm > N or base + mm not in won[tpair]:
-                        ok = False
+                    if mm >= 0 and (mm > N or won[tpair].get(base + mm, rank) >= rank):
                         break
-                if ok:
+                else:
                     return True
             return False
 
@@ -563,6 +554,23 @@ class SpoilerAttractor:
             return None
         return table.get(pt[0] * self._stride + pt[1])
 
+    def unconfirmed(
+        self, points: list[tuple[Node, Point]], depth: int
+    ) -> list[tuple[Node, Point]]:
+        """The points from which no Spoiler win within `depth` rounds is
+        known.  Listed wins are valid witnesses whatever the table's bound, so
+        the table grows, to the points' largest coordinate plus `depth`, only
+        while some point is unresolved."""
+
+        def unresolved(pts: list[tuple[Node, Point]]) -> list[tuple[Node, Point]]:
+            return [(p, pt) for p, pt in pts if (r := self.rank(p, pt)) is None or r > depth]
+
+        left = unresolved(points)
+        if left:
+            self.ensure(bound=max(max(pt) for _, pt in points) + depth, max_rank=depth)
+            left = unresolved(left)
+        return left
+
 
 def spoiler_bounded_win(
     nets: tuple[Ocn, Ocn], position: tuple["Config", "Config"], depth: int = 64
@@ -575,11 +583,8 @@ def spoiler_bounded_win(
     left, right = position
     pair: Node = (left.state, right.state)
     point: Point = (left.counter, right.counter)
-    product = build_product(*nets)
-    att = SpoilerAttractor(product)
-    att.ensure(bound=max(point) + depth, max_rank=depth)
-    r = att.rank(pair, point)
-    return r is not None and r <= depth
+    att = SpoilerAttractor(build_product(*nets))
+    return not att.unconfirmed([(pair, point)], depth)
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +620,6 @@ def verify_coloring(
     spoiler_depth_cap: int = 128,
     *,
     check_no: bool = True,
-    horizon_cap: int = 128,
 ) -> VerificationReport:
     """Check a periodic coloring against the nets.
 
@@ -637,15 +641,11 @@ def verify_coloring(
         for pt, v in col.values[pair].items():
             if v and not col.condition_holds(pair, pt):
                 report.yes_violations.append((pair, pt))
-    report.periodicity_failures.extend(col.certify_periodicity(horizon_cap))
+    report.periodicity_failures.extend(col.certify_periodicity())
     if check_no:
+        false_pts, _ = col.false_points()
         att = SpoilerAttractor(product)
-        false_pts, bound = col.false_points()
-        att.ensure(bound=bound + spoiler_depth_cap, max_rank=spoiler_depth_cap)
-        for pair, pt in false_pts:
-            r = att.rank(pair, pt)
-            if r is None or r > spoiler_depth_cap:
-                report.no_unconfirmed.append((pair, pt))
+        report.no_unconfirmed.extend(att.unconfirmed(false_pts, spoiler_depth_cap))
     return report
 
 
@@ -757,7 +757,7 @@ class StrongSimEngine:
         if roots is None:
             return self.product.nodes
         seen = set()
-        todo = [r for r in roots if r in self.product.out]
+        todo = [r for r in roots if r in self.product.moves]
         while todo:
             v = todo.pop()
             if v in seen:
@@ -791,19 +791,16 @@ class StrongSimEngine:
         col = self.colorings.get(key)
         if col is None:
             col = QuotientColoring(self.product, self.geometry(j, k))
-            failures = col.certify_periodicity(HORIZON_CAP)
+            failures = col.certify_periodicity()
             col.certified_yes = not failures
             self.colorings[key] = col
         return col
 
     def spoiler_rank(self, pair: Node, pt: Point, depth: int) -> int | None:
-        # listed wins are valid witnesses regardless of the table's bound, so
-        # only grow the table when the point is still unresolved
-        r = self._attractor.rank(pair, pt)
-        if r is None or r > depth:
-            self._attractor.ensure(bound=max(pt) + depth, max_rank=depth)
-            r = self._attractor.rank(pair, pt)
-        return r if r is not None and r <= depth else None
+        """Rounds within which Spoiler wins from the point, if at most `depth`."""
+        if self._attractor.unconfirmed([(pair, pt)], depth):
+            return None
+        return self._attractor.rank(pair, pt)
 
     def _ensure_exact(self, col: QuotientColoring) -> bool:
         """Upgrade a YES-certified coloring to a fully exact description:
@@ -818,11 +815,7 @@ class StrongSimEngine:
         # spending the full configured cap
         for attempt in (2 * bound + 64, 8 * bound + 256, self.limits.spoiler_depth_cap):
             attempt = min(attempt, self.limits.spoiler_depth_cap)
-            self._attractor.ensure(bound=bound + attempt, max_rank=attempt)
-            if all(
-                (r := self._attractor.rank(pair, pt)) is not None and r <= attempt
-                for pair, pt in false_pts
-            ):
+            if not self._attractor.unconfirmed(false_pts, attempt):
                 break
             if attempt >= self.limits.spoiler_depth_cap:
                 return False

@@ -143,7 +143,6 @@ def normalize_pair(spoiler_net: Ocn, duplicator_net: Ocn) -> tuple[Ocn, Ocn]:
 
 
 Node = tuple[str, str]
-Edge = tuple[Node, str, int, int, Node]
 Move = tuple[str, int, tuple[tuple[int, Node], ...]]
 
 
@@ -151,12 +150,12 @@ Move = tuple[str, int, tuple[tuple[int, Node], ...]]
 class ProductGraph:
     """Synchronized control graph of a Spoiler/Duplicator net pair.
 
-    Edges pair same-action transition rules of the two nets and carry both
-    counter deltas; K is the number of control-state pairs.
+    Its one edge table is `moves`: per pair, each Spoiler rule with
+    Duplicator's same-action replies.  K is the number of control-state
+    pairs.
     """
 
     nodes: tuple[Node, ...]
-    edges: tuple[Edge, ...]
     spoiler: Ocn
     duplicator: Ocn
 
@@ -165,24 +164,13 @@ class ProductGraph:
         return len(self.nodes)
 
     @cached_property
-    def out(self) -> dict[Node, tuple[Edge, ...]]:
-        grouped: dict[Node, list[Edge]] = {v: [] for v in self.nodes}
-        for e in self.edges:
-            grouped[e[0]].append(e)
-        return {v: tuple(es) for v, es in grouped.items()}
-
-    @cached_property
-    def successors(self) -> dict[Node, tuple[Node, ...]]:
-        return {v: tuple(sorted({e[4] for e in es})) for v, es in self.out.items()}
-
-    @cached_property
     def moves(self) -> dict[Node, tuple[Move, ...]]:
         """The one-round rules of every pair: per Spoiler rule (action, delta),
         Duplicator's same-action replies (delta', successor pair).
 
         Both levels follow net transition order, which fixes the order the
-        games explore.  Built from the nets rather than from the edges, so a
-        Spoiler rule that Duplicator cannot answer keeps an empty reply tuple.
+        games explore.  A Spoiler rule that Duplicator cannot answer keeps an
+        empty reply tuple.
         """
         replies = self.duplicator.out_by_action
         return {
@@ -193,6 +181,13 @@ class ProductGraph:
             for q, q2 in self.nodes
         }
 
+    @cached_property
+    def successors(self) -> dict[Node, tuple[Node, ...]]:
+        return {
+            v: tuple(sorted({w for _, _, replies in ms for _, w in replies}))
+            for v, ms in self.moves.items()
+        }
+
 
 def build_product(spoiler_net: Ocn, duplicator_net: Ocn) -> ProductGraph:
     """Build the product control graph of two nets over a shared alphabet."""
@@ -201,12 +196,7 @@ def build_product(spoiler_net: Ocn, duplicator_net: Ocn) -> ProductGraph:
             f"alphabet mismatch between {spoiler_net.name} and {duplicator_net.name}"
         )
     nodes = tuple((p, q) for p in spoiler_net.states for q in duplicator_net.states)
-    edges: list[Edge] = []
-    for p, a, d, p2 in spoiler_net.transitions:
-        for q, b, d2, q2 in duplicator_net.transitions:
-            if a == b:
-                edges.append(((p, q), a, d, d2, (p2, q2)))
-    return ProductGraph(nodes, tuple(edges), spoiler_net, duplicator_net)
+    return ProductGraph(nodes, spoiler_net, duplicator_net)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ slope yields each state pair's boundary slope and the belt constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Literal
 
 from .core import Node, ProductGraph, _tarjan_sccs, graph_parameters
@@ -26,38 +25,25 @@ DUPLICATOR = "duplicator"
 Player = Literal["spoiler", "duplicator"]
 
 
-class PhaseOutcome(Enum):
-    DUPLICATOR_WINS_NOW = "duplicator_wins_now"
-    SPOILER_WINS_NOW = "spoiler_wins_now"
-    CONTINUE = "continue"
-
-
-@dataclass(frozen=True)
-class PhaseVerdict:
-    """Evaluation of a completed phase: an immediate winner or a new slope."""
-
-    outcome: PhaseOutcome
-    new_slope: Slope | None = None
-
-
 @dataclass(frozen=True)
 class SlopeGameResult:
     winner: Player
     segment_depth: int
 
 
-def evaluate_lasso(cycle_effect: Vec2, slope: Slope) -> PhaseVerdict:
+def evaluate_lasso(cycle_effect: Vec2, slope: Slope) -> Player | Slope:
     """Apply the three-way winning condition to a closed phase.
 
     Not behind: Duplicator wins now.  Behind but not positive: Spoiler wins
-    now.  Behind and positive: the game continues with the effect as slope.
+    now.  Behind and positive: the game continues with the effect as the new
+    slope, which is returned.
     """
     if not is_behind(cycle_effect, slope):
-        return PhaseVerdict(PhaseOutcome.DUPLICATOR_WINS_NOW)
+        return DUPLICATOR
     x, y = cycle_effect
     if x >= 0 and y >= 0 and (x, y) != (0, 0):
-        return PhaseVerdict(PhaseOutcome.CONTINUE, Slope(x, y).normalized())
-    return PhaseVerdict(PhaseOutcome.SPOILER_WINS_NOW)
+        return Slope(x, y).normalized()
+    return SPOILER
 
 
 class SlopeGameSolver:
@@ -161,15 +147,11 @@ class SlopeGameSolver:
                 )
             else:
                 verdict = evaluate_lasso((nx - first[0], ny - first[1]), slope)
-                if verdict.outcome is PhaseOutcome.DUPLICATOR_WINS_NOW:
-                    sub = SlopeGameResult(DUPLICATOR, 1)
-                elif verdict.outcome is PhaseOutcome.SPOILER_WINS_NOW:
-                    sub = SlopeGameResult(SPOILER, 1)
-                elif verdict.new_slope is None:
-                    raise RuntimeError("continuing phase verdict without a new slope")
-                else:
-                    inner = self._phase_value(nxt, verdict.new_slope, chain_depth + 1)
+                if isinstance(verdict, Slope):
+                    inner = self._phase_value(nxt, verdict, chain_depth + 1)
                     sub = SlopeGameResult(inner.winner, inner.segment_depth + 1)
+                else:
+                    sub = SlopeGameResult(verdict, 1)
             if sub.winner == DUPLICATOR:
                 # any winning reply suffices; its depth is a sound strategy depth
                 return sub
@@ -201,7 +183,6 @@ def cycle_effect_candidates(
     }
     sccs = _tarjan_sccs(nodes, succ)
     comp_of = {v: i for i, scc in enumerate(sccs) for v in scc}
-    out = g.out
     effects: set[Vec2] = set()
     for scc in sccs:
         comp = comp_of[scc[0]]
@@ -212,12 +193,13 @@ def cycle_effect_candidates(
             for _ in range(len(scc)):
                 nxt: dict[Node, set[Vec2]] = {}
                 for v, effs in frontier.items():
-                    for e in out.get(v, ()):
-                        if comp_of.get(e[4]) != comp:
-                            continue
-                        tgt = nxt.setdefault(e[4], set())
-                        for dx, dy in effs:
-                            tgt.add((dx + e[2], dy + e[3]))
+                    for _, d, replies in g.moves[v]:
+                        for d2, w in replies:
+                            if comp_of.get(w) != comp:
+                                continue
+                            tgt = nxt.setdefault(w, set())
+                            for dx, dy in effs:
+                                tgt.add((dx + d, dy + d2))
                 for eff in nxt.get(anchor, ()):
                     if eff != (0, 0):
                         effects.add(eff)

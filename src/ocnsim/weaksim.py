@@ -478,7 +478,6 @@ def converge_weak(
     duplicator_net: Ocn,
     tau: str = "tau",
     limits: EngineLimits | None = None,
-    collect: bool = False,
 ) -> WeakConvergence:
     """Iterate approximant levels until the sufficient-value row repeats.
 
@@ -496,8 +495,7 @@ def converge_weak(
     for level in range(1, max_levels + 1):
         nets = build_approximants(m_net, m_omega, row, level)
         check_gadget_invariants(nets, m_net, m_omega)
-        if collect:
-            approximants.append(nets)
+        approximants.append(nets)
         engine = StrongSimEngine(
             nets.spoiler, nets.duplicator, limits=limits, roots=grid
         )
@@ -519,8 +517,7 @@ def decide_weak(
     right: Config,
     tau: str = "tau",
     limits: EngineLimits | None = None,
-    collect: bool = False,
 ) -> WeakDecision:
     """Decide weak simulation for one configuration pair."""
-    conv = converge_weak(spoiler_net, duplicator_net, tau, limits, collect)
+    conv = converge_weak(spoiler_net, duplicator_net, tau, limits)
     return WeakDecision(conv.decide(left, right), conv.levels, conv.table, conv.approximants)

@@ -129,6 +129,31 @@ def test_check_limit_flags():
     assert res.exit_code == 0 and json.loads(res.output)["k"] == 1
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("check", "--max-rect", "abc", A, ACOPY, "p:3", "q:5"),
+        ("check", A, ACOPY, "p:3"),
+        ("check", "--bogus", A, ACOPY, "p:3", "q:5"),
+        ("check", "--json", "--max-rect", "-3", A, ACOPY, "p:3", "q:5"),
+        ("check", "--max-depth", "-1", A, ACOPY, "p:5", "q:3"),
+        ("check", "--max-period", "0", A, ACOPY, "p:3", "q:5"),
+        ("oracle", "--rounds", "-1", A, ACOPY, "p:3", "q:5"),
+        ("oracle", "--weak", "--tau-cap", "-1", A, ACOPY, "p:3", "q:5"),
+        ("render", "--pair", "p,q", "--max", "0", A, ACOPY),
+        ("no-such-command", A),
+        ("--bogus",),
+        (),
+    ],
+)
+def test_usage_errors_exit_64(args):
+    # exit 2 would read as "undecided", and a negative limit as a verdict
+    res = run(*args)
+    assert res.exit_code == 64
+    assert res.stdout == ""
+    assert res.stderr.startswith("Usage:")
+
+
 def test_check_binary_magnitude_counters():
     res = run("check", "--strong", A, ACOPY, f"p:{10**12}", f"q:{10**12 + 5}")
     assert res.exit_code == 0

@@ -55,6 +55,15 @@ def test_spoiler_bounded_win_matches_oracle():
                         )
                         slow = bounded_round_winner(nets, (Config(q, c1), Config(q2, c2)), 12)
                         assert fast == slow.spoiler_wins
+    # shallow positions where a rank counted a reply won earlier in the same
+    # round: Duplicator survives `depth` rounds here, Spoiler wins in depth + 1
+    nets = normalize_pair(*random_pair(19))
+    for pos, depth in (
+        ((Config("s1", 1), Config("d0", 0)), 2),
+        ((Config("s1", 1), Config("d0", 1)), 3),
+    ):
+        for d in (depth, depth + 1):
+            assert spoiler_bounded_win(nets, pos, d) == bounded_round_winner(nets, pos, d).spoiler_wins
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from ocnsim.geometry import Slope, equivalent, interval_representatives
 from ocnsim.slope_game import (
     DUPLICATOR,
     SPOILER,
-    PhaseOutcome,
     SlopeGameSolver,
     belt_constant,
     boundary_slope,
@@ -23,11 +22,10 @@ def _product(spoiler, duplicator):
 
 
 def test_evaluate_lasso_cases():
-    assert evaluate_lasso((0, 0), Slope(3, 1)).outcome is PhaseOutcome.DUPLICATOR_WINS_NOW
-    v = evaluate_lasso((-1, -1), Slope(2, 1))
-    assert v.outcome is PhaseOutcome.SPOILER_WINS_NOW
-    v = evaluate_lasso((2, 1), Slope(1, 2))
-    assert v.outcome is PhaseOutcome.CONTINUE and v.new_slope == Slope(2, 1)
+    assert evaluate_lasso((0, 0), Slope(3, 1)) == DUPLICATOR
+    assert evaluate_lasso((-1, -1), Slope(2, 1)) == SPOILER
+    assert evaluate_lasso((2, 1), Slope(1, 2)) == Slope(2, 1)
+    assert evaluate_lasso((4, 2), Slope(1, 2)) == Slope(2, 1)
 
 
 def test_solve_a_vs_a():

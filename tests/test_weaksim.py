@@ -163,7 +163,7 @@ def test_suff_table_invariants_on_weak_runs():
             ("q", "a", -1, "q"),
         ),
     )
-    dec = decide_weak(sp, dup, Config("p", 2), Config("q", 2), collect=True)
+    dec = decide_weak(sp, dup, Config("p", 2), Config("q", 2))
     table = dec.table
     assert all(v is None for v in table.rows[0].values())
     for prev, cur in zip(table.rows, table.rows[1:]):
