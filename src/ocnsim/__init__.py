@@ -4,7 +4,7 @@ from .core import Config, Ocn, build_product, format_net, normalize_pair, parse_
 from .coloring import (
     Belt,
     EngineLimits,
-    PeriodicColoring,
+    QuotientColoring,
     StrongSimEngine,
     decide_strong,
     solve_quotient,
@@ -19,7 +19,7 @@ __all__ = [
     "Config",
     "EngineLimits",
     "Ocn",
-    "PeriodicColoring",
+    "QuotientColoring",
     "Slope",
     "StrongSimEngine",
     "belt_constant",

@@ -36,7 +36,7 @@ POSITIVE = click.IntRange(min=1)
 def _load_net(path: str) -> Ocn:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         click.echo(f"{path}: {exc}", err=True)
         sys.exit(EXIT_PARSE)
     try:
@@ -47,14 +47,24 @@ def _load_net(path: str) -> Ocn:
 
 
 def _parse_config(literal: str, net: Ocn, path: str) -> Config:
-    state, sep, counter = literal.partition(":")
-    if not sep or not counter.lstrip("-").isdigit() or int(counter) < 0:
+    # state names may contain colons; the counter follows the last one
+    state, sep, counter = literal.rpartition(":")
+    if not sep or not (counter.isascii() and counter.isdigit()):
         click.echo(f"bad configuration literal {literal!r}, want state:counter", err=True)
         sys.exit(EXIT_PARSE)
     if state not in net.states:
         click.echo(f"state {state!r} not in net {net.name} ({path})", err=True)
         sys.exit(EXIT_PARSE)
-    return Config(state, int(counter))
+    try:
+        value = int(counter)
+    except ValueError:
+        click.echo(
+            f"counter of state {state!r} has {len(counter)} digits, "
+            f"at most {sys.get_int_max_str_digits()} allowed",
+            err=True,
+        )
+        sys.exit(EXIT_PARSE)
+    return Config(state, value)
 
 
 def _exit_with(code: int, label: str, exc: BaseException) -> None:
@@ -269,21 +279,21 @@ def export(out, pairs_opt, net_a, net_b):
     """Write the semilinear description of the simulation relation as JSON."""
     spoiler = _load_net(net_a)
     duplicator = _load_net(net_b)
-    engine = StrongSimEngine(spoiler, duplicator)
-    pc = engine.export_coloring()
-    if pc is None:
-        click.echo("undecided: no certified coloring within the caps", err=True)
-        sys.exit(EXIT_UNDECIDED)
     keep = None
     if pairs_opt:
         keep = set()
         for item in pairs_opt.split(";"):
             q, sep, q2 = item.partition(",")
-            if not sep:
+            if not sep or q not in spoiler.states or q2 not in duplicator.states:
                 click.echo(f"bad --pairs item {item!r}", err=True)
                 sys.exit(EXIT_PARSE)
             keep.add((q, q2))
-    obj = pc.to_json_obj()
+    engine = StrongSimEngine(spoiler, duplicator)
+    col = engine.export_coloring()
+    if col is None:
+        click.echo("undecided: no certified coloring within the caps", err=True)
+        sys.exit(EXIT_UNDECIDED)
+    obj = col.to_json_obj()
     if keep is not None:
         obj["pairs"] = [p for p in obj["pairs"] if (p["q"], p["q'"]) in keep]
     with open(out, "w", encoding="utf-8") as fh:

@@ -12,6 +12,7 @@ is exact once (j, k) are large enough; verification makes that checkable.
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -140,67 +141,6 @@ class PairGeometry(Belt):
         return out
 
 
-@dataclass(frozen=True)
-class PairColoring:
-    """Exported description of one pair's coloring: explicit blocks plus the
-    periodic block repeated along k*slope."""
-
-    pair: Node
-    slope: Slope
-    c: int
-    j: int
-    k: int
-    init: frozenset[Point]
-    aper: frozenset[Point]
-    per: frozenset[Point]
-
-
-@dataclass
-class PeriodicColoring:
-    """Semilinear description of the simulation relation, per pair."""
-
-    l0: Point
-    pairs: dict[Node, PairColoring]
-
-    def geometry(self, pair: Node) -> PairGeometry:
-        pc = self.pairs[pair]
-        return PairGeometry(pair, pc.slope, pc.c, self.l0, pc.j, pc.k)
-
-    def lookup(self, pair: Node, pt: Point) -> bool:
-        """Membership in the induced total relation: everything in the above
-        zone, plus init/aper, plus the periodic block under k*slope shifts."""
-        pc = self.pairs[pair]
-        geo = self.geometry(pair)
-        pt = geo.resolve(pt)
-        if isinstance(pt, bool):
-            return pt
-        if pt[0] <= self.l0[0] and pt[1] <= self.l0[1]:
-            return pt in pc.init
-        if geo.in_rect(pt, pc.j):
-            return pt in pc.aper
-        return pt in pc.per
-
-    def to_json_obj(self) -> dict:
-        return {
-            "schema": 1,
-            "l0": list(self.l0),
-            "pairs": [
-                {
-                    "q": pc.pair[0],
-                    "q'": pc.pair[1],
-                    "slope": [pc.slope.rho, pc.slope.rho_prime],
-                    "c": pc.c,
-                    "j": pc.j,
-                    "k": pc.k,
-                    "init": sorted(map(list, pc.init)),
-                    "aper": sorted(map(list, pc.aper)),
-                    "per": sorted(map(list, pc.per)),
-                }
-                for _, pc in sorted(self.pairs.items())
-            ],
-        }
-
-
 @dataclass
 class VerificationReport:
     """Outcome of checking a coloring: local simulation-condition violations
@@ -211,22 +151,14 @@ class VerificationReport:
     no_unconfirmed: list[tuple[Node, Point]] = field(default_factory=list)
     periodicity_failures: list[str] = field(default_factory=list)
 
-    @property
-    def yes_ok(self) -> bool:
-        return not self.yes_violations and not self.periodicity_failures
-
-    @property
-    def all_ok(self) -> bool:
-        return self.yes_ok and not self.no_unconfirmed
-
 
 # ---------------------------------------------------------------------------
 # Quotient game
 
 
 class QuotientColoring:
-    """Window values of the quotient-game greatest fixpoint plus the
-    machinery to look points up through zones and wraps.
+    """A periodic coloring: per pair, the window values of the quotient-game
+    greatest fixpoint, looked up through the zones and the k*slope wrap.
 
     The values are solved on construction unless given, as when checking an
     exported coloring.
@@ -384,26 +316,29 @@ class QuotientColoring:
         pts = [(pair, pt) for pair, vals in self.values.items() for pt, v in vals.items() if not v]
         return pts, max((max(pt) for _, pt in pts), default=0)
 
-    def to_periodic_coloring(self) -> PeriodicColoring:
-        pairs = {}
-        for pair, vals in self.values.items():
+    def to_json_obj(self) -> dict:
+        """The exported form: per pair, the true window points split into the
+        initial block (up to l0), the aperiodic block (up to rect(j)) and the
+        periodic block repeated along k*slope."""
+        pairs = []
+        for pair in sorted(self.geometry):
             geo = self.geometry[pair]
-            init, aper, per = set(), set(), set()
-            for pt, v in vals.items():
-                if not v:
-                    continue
-                if pt[0] <= geo.l0[0] and pt[1] <= geo.l0[1]:
-                    init.add(pt)
-                elif geo.in_rect(pt, geo.j):
-                    aper.add(pt)
-                else:
-                    per.add(pt)
-            pairs[pair] = PairColoring(
-                pair, geo.slope, geo.c, geo.j, geo.k,
-                frozenset(init), frozenset(aper), frozenset(per),
-            )
+            blocks: dict[str, list[list[int]]] = {"init": [], "aper": [], "per": []}
+            for pt, v in self.values[pair].items():
+                if v:
+                    block = "init" if geo.in_rect(pt, 0) else "aper" if geo.in_rect(pt, geo.j) else "per"
+                    blocks[block].append(list(pt))
+            pairs.append({
+                "q": pair[0],
+                "q'": pair[1],
+                "slope": [geo.slope.rho, geo.slope.rho_prime],
+                "c": geo.c,
+                "j": geo.j,
+                "k": geo.k,
+                **{name: sorted(pts) for name, pts in blocks.items()},
+            })
         l0 = next(iter(self.geometry.values())).l0
-        return PeriodicColoring(l0, pairs)
+        return {"schema": 1, "l0": list(l0), "pairs": pairs}
 
 
 def _bbox_with_margin(points: list[Point], margin: int) -> tuple[Point, Point]:
@@ -616,12 +551,12 @@ def solve_quotient(
 
 def verify_coloring(
     nets: tuple[Ocn, Ocn],
-    pc: PeriodicColoring,
+    col: QuotientColoring,
     spoiler_depth_cap: int = 128,
     *,
     check_no: bool = True,
 ) -> VerificationReport:
-    """Check a periodic coloring against the nets.
+    """Check a coloring's window values against the nets.
 
     YES-soundness: every claimed point satisfies the one-step simulation
     condition against the coloring, with the k*slope wrap supplying the
@@ -632,13 +567,9 @@ def verify_coloring(
     """
     product = build_product(*nets)
     report = VerificationReport()
-    geometry = {pair: pc.geometry(pair) for pair in pc.pairs}
-    col = QuotientColoring(product, geometry, values={
-        pair: {pt: pc.lookup(pair, pt) for pt in geo.window_points()}
-        for pair, geo in geometry.items()
-    })
-    for pair in pc.pairs:
-        for pt, v in col.values[pair].items():
+    col = QuotientColoring(product, col.geometry, col.values)
+    for pair, vals in col.values.items():
+        for pt, v in vals.items():
             if v and not col.condition_holds(pair, pt):
                 report.yes_violations.append((pair, pt))
     report.periodicity_failures.extend(col.certify_periodicity())
@@ -669,8 +600,8 @@ def find_equal_cross_sections(
     top = cap[axis] - 1
 
     by_level: dict[int, set[Point]] = {}
-    for pt in geo.window_points():
-        if col.lookup(pair, pt):
+    for pt, v in col.values[pair].items():
+        if v:
             by_level.setdefault(pt[axis], set()).add(pt)
 
     def true_section(level: int) -> frozenset[Point]:
@@ -871,9 +802,16 @@ class StrongSimEngine:
                 return col
         return None
 
-    def export_coloring(self) -> PeriodicColoring | None:
+    def export_coloring(self) -> QuotientColoring | None:
+        """A copy of the certified coloring that callers may change: its own
+        window values, sharing the immutable geometry and product.  It is
+        made without `__init__`, which would solve the game again."""
         col = self.certified_coloring()
-        return col.to_periodic_coloring() if col is not None else None
+        if col is None:
+            return None
+        out = copy.copy(col)
+        out.values = {pair: dict(vals) for pair, vals in col.values.items()}
+        return out
 
 
 def decide_strong(

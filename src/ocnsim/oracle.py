@@ -144,13 +144,14 @@ def bounded_weak_round_winner(
     return BoundedVerdict.duplicator_survives(rounds)
 
 
-def check_candidate(nets: tuple[Ocn, Ocn], pc, window: tuple[int, int]) -> list[tuple[Node, tuple[int, int]]]:
+def check_candidate(nets: tuple[Ocn, Ocn], col, window: tuple[int, int]) -> list[tuple[Node, tuple[int, int]]]:
     """Independent local simulation-condition check over a window.
 
-    Re-implements the one-step condition and the coloring expansion directly
-    (no code shared with the engine's verifier): for every pair and every
-    claimed point of the window, some same-action reply must land on a
-    claimed point again.  Returns the violations.
+    Reads only the coloring's geometry and window values and re-implements
+    the one-step condition, the zones and the wrap directly (no code shared
+    with the engine's verifier): for every pair and every claimed point of
+    the window, some same-action reply must land on a claimed point again.
+    Returns the violations.
     """
     spoiler_net, dup_net = nets
     max_n, max_m = window
@@ -165,30 +166,26 @@ def check_candidate(nets: tuple[Ocn, Ocn], pc, window: tuple[int, int]) -> list[
         return result
 
     def _member(pair: Node, n: int, m: int) -> bool:
-        data = pc.pairs[pair]
-        rho, rho2 = data.slope.rho, data.slope.rho_prime
-        c = data.c
+        geo = col.geometry[pair]
+        rho, rho2 = geo.slope.rho, geo.slope.rho_prime
+        c = geo.c
         # above zone
         if rho > 0 and rho2 * (n + c) < rho * (m - c) and m > c:
             return True
         # below zone
         if rho2 > 0 and rho * (m + c) < rho2 * (n - c) and n > c:
             return False
-        capx = pc.l0[0] + (data.j + data.k) * rho
-        capy = pc.l0[1] + (data.j + data.k) * rho2
+        capx = geo.l0[0] + (geo.j + geo.k) * rho
+        capy = geo.l0[1] + (geo.j + geo.k) * rho2
         while n > capx or m > capy:
-            n -= data.k * rho
-            m -= data.k * rho2
+            n -= geo.k * rho
+            m -= geo.k * rho2
             if n < 0 or m < 0:
                 return False
-        if n <= pc.l0[0] and m <= pc.l0[1]:
-            return (n, m) in data.init
-        if n <= pc.l0[0] + data.j * rho and m <= pc.l0[1] + data.j * rho2:
-            return (n, m) in data.aper
-        return (n, m) in data.per
+        return col.values[pair].get((n, m), False)
 
     violations = []
-    for pair in pc.pairs:
+    for pair in col.values:
         q, q2 = pair
         for n in range(max_n + 1):
             for m in range(max_m + 1):

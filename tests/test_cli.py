@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -154,6 +155,56 @@ def test_usage_errors_exit_64(args):
     assert res.stderr.startswith("Usage:")
 
 
+def test_undecodable_net_file_exits_64(tmp_path):
+    bad = tmp_path / "bad.ocn"
+    bad.write_bytes(b"net X\nstates s\xff\n")
+    res = run("check", str(bad), ACOPY, "s:0", "q:0")
+    assert res.exit_code == 64
+    assert res.stdout == ""
+    assert str(bad) in res.stderr
+
+
+@pytest.mark.parametrize("counter", ["\u00b2", "\u0663", "+1", "-1", " 1", ""])
+def test_counter_must_be_ascii_digits(counter):
+    res = run("check", A, ACOPY, f"p:{counter}", "q:1")
+    assert res.exit_code == 64
+    assert "bad configuration literal" in res.stderr
+
+
+def test_overlong_counter_exits_64():
+    limit = sys.get_int_max_str_digits()
+    res = run("check", A, ACOPY, "p:" + "1" * (limit + 700), "q:1")
+    assert res.exit_code == 64
+    assert res.stdout == ""
+    assert str(limit) in res.stderr and len(res.stderr.splitlines()) == 1
+
+
+def test_state_name_with_colon(tmp_path):
+    net = tmp_path / "colon.ocn"
+    net.write_text("net C\nstates s:0\nactions a\ns:0 a -1 s:0\n", encoding="utf-8")
+    res = run("check", str(net), ACOPY, "s:0:3", "q:5")
+    assert res.exit_code == 0
+    assert res.output == "simulated: true\n"
+    res = run("check", str(net), ACOPY, "s:0:5", "q:3")
+    assert res.exit_code == 1
+
+
+def test_long_acyclic_chain_is_never_a_crash(tmp_path):
+    # 600 control states in a row drive the slope-game recursion past the
+    # interpreter's stack limit; that must read as a cap, not as "false"
+    chain = tmp_path / "chain.ocn"
+    chain.write_text(
+        "net Chain\nstates " + " ".join(f"s{i}" for i in range(600)) + "\nactions a\n"
+        + "".join(f"s{i} a 0 s{i + 1}\n" for i in range(599)),
+        encoding="utf-8",
+    )
+    loop = tmp_path / "loop.ocn"
+    loop.write_text("net Loop\nstates d\nactions a\nd a 0 d\n", encoding="utf-8")
+    res = run("check", "--json", str(chain), str(loop), "s0:0", "d:0")
+    verdict = json.loads(res.stdout)["verdict"]
+    assert (verdict, res.exit_code) in {("true", 0), ("undecided", 2)}
+
+
 def test_check_binary_magnitude_counters():
     res = run("check", "--strong", A, ACOPY, f"p:{10**12}", f"q:{10**12 + 5}")
     assert res.exit_code == 0
@@ -266,3 +317,12 @@ def test_oracle_subcommand():
 def test_bad_pair_option():
     res = run("render", "--pair", "nope", A, ACOPY)
     assert res.exit_code == 64
+
+
+@pytest.mark.parametrize("pairs", ["nope,zz", "p,zz", "p,q;nope,q"])
+def test_export_rejects_unknown_pairs(tmp_path, pairs):
+    out = tmp_path / "out.json"
+    res = run("export", "--out", str(out), "--pairs", pairs, A, ACOPY)
+    assert res.exit_code == 64
+    assert "bad --pairs item" in res.stderr
+    assert not out.exists()

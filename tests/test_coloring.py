@@ -164,34 +164,17 @@ def test_quotient_wrap_geometry_error():
 # verification
 
 
-def _mutate(pc, pair, pt, value):
-    data = pc.pairs[pair]
-    pools = {"init": set(data.init), "aper": set(data.aper), "per": set(data.per)}
-    geo = pc.geometry(pair)
-    if pt[0] <= pc.l0[0] and pt[1] <= pc.l0[1]:
-        which = "init"
-    elif geo.in_rect(pt, data.j):
-        which = "aper"
-    else:
-        which = "per"
-    if value:
-        pools[which].add(pt)
-    else:
-        pools[which].discard(pt)
-    from dataclasses import replace
-
-    pc.pairs[pair] = replace(
-        data,
-        init=frozenset(pools["init"]),
-        aper=frozenset(pools["aper"]),
-        per=frozenset(pools["per"]),
-    )
+def _mutate(col, pair, pt, value):
+    vals = col.values[pair]
+    if pt not in vals:
+        raise ValueError(f"{pt} is outside the window of {pair}")
+    vals[pt] = value
 
 
 def test_verify_coloring_clean():
     eng = _engine(NET_A, NET_ACOPY)
-    pc = eng.export_coloring()
-    report = verify_coloring((eng.spoiler_net, eng.duplicator_net), pc, spoiler_depth_cap=128)
+    col = eng.export_coloring()
+    report = verify_coloring((eng.spoiler_net, eng.duplicator_net), col, spoiler_depth_cap=128)
     assert report.yes_violations == []
     assert report.no_unconfirmed == []
     assert report.periodicity_failures == []
@@ -199,19 +182,39 @@ def test_verify_coloring_clean():
 
 def test_verify_coloring_flip_true_to_false():
     eng = _engine(NET_A, NET_ACOPY)
-    pc = eng.export_coloring()
-    _mutate(pc, ("p", "q"), (3, 5), False)  # a truly simulated point
-    report = verify_coloring((eng.spoiler_net, eng.duplicator_net), pc, spoiler_depth_cap=64)
+    col = eng.export_coloring()
+    _mutate(col, ("p", "q"), (3, 5), False)  # a truly simulated point
+    report = verify_coloring((eng.spoiler_net, eng.duplicator_net), col, spoiler_depth_cap=64)
     assert (("p", "q"), (3, 5)) in report.no_unconfirmed
 
 
 def test_verify_coloring_flip_false_to_true():
     eng = _engine(NET_A, NET_ACOPY)
-    pc = eng.export_coloring()
-    _mutate(pc, ("p", "q"), (5, 3), True)  # a truly excluded point
-    report = verify_coloring((eng.spoiler_net, eng.duplicator_net), pc, spoiler_depth_cap=64)
+    col = eng.export_coloring()
+    _mutate(col, ("p", "q"), (5, 3), True)  # a truly excluded point
+    report = verify_coloring((eng.spoiler_net, eng.duplicator_net), col, spoiler_depth_cap=64)
     assert any(pt == (5, 3) or abs(pt[0] - 5) + abs(pt[1] - 3) <= 1
                for _, pt in report.yes_violations)
+
+
+def test_export_is_an_independent_copy():
+    # flipping points of an export changes neither the engine's answers nor
+    # a later export
+    eng = _engine(NET_A, NET_ACOPY)
+    col = eng.export_coloring()
+    pair = ("p", "q")
+    window = dict(col.values[pair])
+    points = [(5, 3), (3, 5), (0, 0), (4, 4)]
+    answers = [eng.decide(("p", n), ("q", m)) for n, m in points]
+    assert answers[:2] == [False, True]
+    _mutate(col, pair, (5, 3), True)
+    _mutate(col, pair, (3, 5), False)
+    assert [eng.decide(("p", n), ("q", m)) for n, m in points] == answers
+    again = eng.export_coloring()
+    assert again.values[pair] == window
+    assert again.to_json_obj() != col.to_json_obj()
+    with pytest.raises(ValueError):
+        _mutate(col, pair, (10**6, 0), True)
 
 
 # ---------------------------------------------------------------------------

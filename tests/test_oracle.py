@@ -94,49 +94,35 @@ def test_bounded_weak_tau_cap_zero_degenerates_to_strong():
 def test_check_candidate_clean_and_mutated():
     eng = StrongSimEngine(NET_A, NET_ACOPY)
     nets = (eng.spoiler_net, eng.duplicator_net)
-    pc = eng.export_coloring()
-    assert check_candidate(nets, pc, (20, 20)) == []
-
-    from dataclasses import replace
+    col = eng.export_coloring()
+    assert check_candidate(nets, col, (20, 20)) == []
 
     # claim a truly excluded point: a local violation appears nearby
-    data = pc.pairs[("p", "q")]
-    pc.pairs[("p", "q")] = replace(data, init=data.init | {(5, 3)})
-    violations = check_candidate(nets, pc, (20, 20))
+    assert col.values[("p", "q")][(5, 3)] is False
+    col.values[("p", "q")][(5, 3)] = True
+    violations = check_candidate(nets, col, (20, 20))
     assert violations
 
 
 def test_check_candidate_agrees_with_verifier():
     # the two independently implemented local checkers flag identical
     # claimed-point sets across randomly mutated colorings
-    from dataclasses import replace
-
     rng = random.Random(7)
     eng = StrongSimEngine(NET_A, NET_ACOPY)
     nets = (eng.spoiler_net, eng.duplicator_net)
     for trial in range(60):
-        pc = eng.export_coloring()
-        data = pc.pairs[("p", "q")]
-        pools = {"init": set(data.init), "aper": set(data.aper), "per": set(data.per)}
+        col = eng.export_coloring()
+        vals = col.values[("p", "q")]
+        window_pts = sorted(vals)
         for _ in range(rng.randint(1, 3)):
-            which = rng.choice(("init", "aper", "per"))
-            if pools[which] and rng.random() < 0.5:
-                pools[which].discard(rng.choice(sorted(pools[which])))
-            else:
-                pools[which].add((rng.randint(0, 10), rng.randint(0, 10)))
-        pc.pairs[("p", "q")] = replace(
-            data,
-            init=frozenset(pools["init"]),
-            aper=frozenset(pools["aper"]),
-            per=frozenset(pools["per"]),
-        )
-        geo = pc.geometry(("p", "q"))
-        cap = geo.rect_cap(data.j + data.k)
-        window = (cap[0], cap[1])
+            pt = rng.choice(window_pts)
+            vals[pt] = not vals[pt]
+        geo = col.geometry[("p", "q")]
+        window = geo.rect_cap(geo.j + geo.k)
         independent = {
-            pt for pair, pt in check_candidate(nets, pc, window) if pair == ("p", "q")
+            pt for pair, pt in check_candidate(nets, col, window) if pair == ("p", "q")
         }
-        report = verify_coloring(nets, pc, spoiler_depth_cap=8, check_no=False)
+        report = verify_coloring(nets, col, spoiler_depth_cap=8, check_no=False)
         engine_side = {
             pt for pair, pt in report.yes_violations
             if pair == ("p", "q") and pt[0] <= window[0] and pt[1] <= window[1]
