@@ -20,8 +20,6 @@ import click
 
 from .coloring import EngineLimits, StrongSimEngine
 from .core import Config, Ocn, ParseError, format_net, parse_net
-from .oracle import bounded_round_winner, bounded_weak_round_winner
-from .weaksim import decide_weak
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -141,6 +139,7 @@ def check(mode, tau, as_json, max_depth, max_period, max_rect, dump_dir,
             engine = StrongSimEngine(spoiler, duplicator, limits)
             answer = engine.decide(left, right)
         else:
+            from .weaksim import decide_weak  # imported here: strong checks skip it
             decision = decide_weak(spoiler, duplicator, left, right, tau=tau, limits=limits)
             answer = decision.answer
             if dump_dir is not None:
@@ -315,6 +314,8 @@ def export(out, pairs_opt, net_a, net_b):
 @click.argument("conf_b")
 def oracle(rounds, weak, tau, tau_cap, as_json, net_a, net_b, conf_a, conf_b):
     """Run the brute-force bounded-round game oracle."""
+    from .oracle import bounded_round_winner, bounded_weak_round_winner
+
     spoiler = _load_net(net_a)
     duplicator = _load_net(net_b)
     left = _parse_config(conf_a, spoiler, net_a)

@@ -16,7 +16,9 @@ import copy
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, repeat
 from math import ceil
+from operator import mul, sub
 
 from .core import (
     Config,
@@ -389,28 +391,43 @@ def _crossing_horizon(bbox: tuple[Point, Point], step: Point, og: PairGeometry) 
 
 
 class SpoilerAttractor:
-    """Least fixpoint of "Spoiler forces Duplicator stuck" over a bounded
-    counter grid.  Cells outside the grid count as not yet won, so membership
-    is a sound Spoiler-win certificate; it is complete for positions whose
-    coordinates stay at least `depth` below the grid bound.  A cell's rank is
-    the number of rounds within which Spoiler wins from it."""
+    """Bounded Spoiler reachability over the counter grid [0, N]^2 of every
+    pair.  A cell's rank is the number of rounds within which Spoiler forces
+    Duplicator stuck from it.  Moves leaving the grid count as not yet won,
+    so a listed win is a sound Spoiler-win certificate; the table is
+    complete for positions whose coordinates stay at least `depth` below N.
+
+    Wins are downward closed in Duplicator's counter (the monotonicity lemma
+    of Abdulla-Cerans and Jancar-Moller-Sawa): by induction on r, a win at
+    (n, m) within r rounds is one at (n, m - 1), where Spoiler's rule is
+    still enabled and every enabled reply lands one below a reply from
+    (n, m), inside the grid.  So the cells of pair p won within r rounds
+    are the m < f_r[p][n], with f_0 = 0 and, clipped to N + 1,
+
+        f_r[p][n] = max(f_{r-1}[p][n], max over rules (d, replies) with
+                        n + d >= 0 of min over replies (d2, t) of
+                        f_{r-1}[t][n + d] - d2),
+
+    since a rule wins at m when each reply is disabled (m + d2 < 0) or won
+    (m + d2 < f[t][n + d]), which for f >= 0 both read m < f - d2.  Column
+    N + 1 stays 0: a move out of the grid is unresolved, yet one whose
+    replies all decrement still wins at m = 0.  A round reads only the last
+    round's rows, so a cell's rank is the first round whose f passes it.
+
+    `won[pair]` lists the ranks of the pair's won cells column by column,
+    cell (n, m) at `_start[pair][n] + m`."""
 
     def __init__(self, product: ProductGraph, scope: tuple[Node, ...] | None = None):
         self.moves = product.moves
         self.scope = product.nodes if scope is None else scope
-        # per successor pair, the (pair, delta, delta') moves leading into it;
-        # the scope is successor-closed, so every reply stays inside it
-        self._rev: dict[Node, list[tuple[Node, int, int]]] = {}
         for pair in self.scope:
-            for a, d, replies in self.moves[pair]:
+            for a, _, replies in self.moves[pair]:
                 if not replies:
                     raise GeometryError(
                         f"pair {pair}: Duplicator has no {a!r} rules (net not normalized)"
                     )
-                for d2, tgt in replies:
-                    self._rev.setdefault(tgt, []).append((pair, d, d2))
-        self.won: dict[Node, dict[int, int]] = {}
-        self._stride = 1
+        self.won: dict[Node, list[int]] = {}
+        self._start: dict[Node, list[int]] = {}
         self.bound = -1
         self.max_rank = 0
 
@@ -429,65 +446,46 @@ class SpoilerAttractor:
         self._compute()
 
     def _compute(self) -> None:
-        N = self.bound
-        stride = N + 2
-        moves = self.moves
-        # per-pair win tables keyed by packed n*stride + m for cheap hashing
-        won: dict[Node, dict[int, int]] = {pair: {} for pair in self.scope}
-        frontier: list[tuple[Node, int, int]] = []
-        for pair in self.scope:
-            table = won[pair]
-            for _, d, replies in moves[pair]:
-                # at m = 0 Duplicator cannot answer a rule whose replies all
-                # decrement
-                if any(d2 != -1 for d2, _ in replies):
-                    continue
-                for n in range(0 if d >= 0 else 1, N + 1):
-                    if n * stride not in table:
-                        table[n * stride] = 1
-                        frontier.append((pair, n, 0))
+        top = self.bound + 1
 
-        def wins_now(pair: Node, n: int, m: int) -> bool:
-            # a reply leading outside the grid counts as unresolved, and one
-            # won in the current round does not count as won yet
-            for _, d, replies in moves[pair]:
-                nn = n + d
-                if nn < 0 or nn > N:
-                    continue
-                base = nn * stride
-                for d2, tpair in replies:
-                    mm = m + d2
-                    if mm >= 0 and (mm > N or won[tpair].get(base + mm, rank) >= rank):
-                        break
-                else:
-                    return True
-            return False
+        def reads(row: list[int]) -> dict[int, list[int]]:
+            # f - d2 per reply change d2, with columns -1 (no win) and N + 1 (0)
+            up = [x + 1 if x < top else top for x in row]
+            return {0: [0, *row, 0], -1: [0, *up, 1], 1: [0, *[x - 1 for x in row], -1]}
 
-        rank = 1
-        while frontier and rank < self.max_rank:
+        # the scope is successor-closed, so every reply reads one of its rows
+        f = {pair: [0] * top for pair in self.scope}
+        view = {pair: reads(row) for pair, row in f.items()}
+        columns = {pair: [[] for _ in range(top)] for pair in self.scope}
+        rank = 0
+        while rank < self.max_rank:
             rank += 1
-            nxt: list[tuple[Node, int, int]] = []
-            for tgt_pair, tn, tm in frontier:
-                for src_pair, d, d2 in self._rev.get(tgt_pair, ()):
-                    cn, cm = tn - d, tm - d2
-                    if cn < 0 or cm < 0 or cn > N or cm > N:
-                        continue
-                    table = won[src_pair]
-                    packed = cn * stride + cm
-                    if packed in table:
-                        continue
-                    if wins_now(src_pair, cn, cm):
-                        table[packed] = rank
-                        nxt.append((src_pair, cn, cm))
-            frontier = nxt
-        self.won = won
-        self._stride = stride
+            rose: dict[Node, list[int]] = {}
+            for pair, old in f.items():
+                best = []
+                for _, d, replies in self.moves[pair]:
+                    rows = [view[t][d2][1 + d : 1 + d + top] for d2, t in replies]
+                    best.append(rows[0] if len(rows) == 1 else map(min, *rows))
+                new = list(map(max, old, *best))
+                if new != old:
+                    rose[pair] = new
+                    # the cells a column gained this round have this rank
+                    gained = map(mul, repeat([rank]), map(sub, new, old))
+                    deque(map(list.extend, columns[pair], gained), 0)
+            if not rose:
+                break
+            for pair, new in rose.items():
+                f[pair] = new
+                view[pair] = reads(new)
+        self.won = {pair: list(chain.from_iterable(cols)) for pair, cols in columns.items()}
+        self._start = {pair: [0, *accumulate(map(len, cols))] for pair, cols in columns.items()}
 
     def rank(self, pair: Node, pt: Point) -> int | None:
-        table = self.won.get(pair)
-        if table is None or pt[0] > self.bound or pt[1] > self.bound:
+        n, m = pt
+        if pair not in self.won or n > self.bound:
             return None
-        return table.get(pt[0] * self._stride + pt[1])
+        start = self._start[pair]
+        return self.won[pair][start[n] + m] if start[n] + m < start[n + 1] else None
 
     def unconfirmed(
         self, points: list[tuple[Node, Point]], depth: int
@@ -512,8 +510,8 @@ def spoiler_bounded_win(
 ) -> bool:
     """True iff Spoiler forces a win within `depth` rounds from the position.
 
-    Backward induction over the counter grid bounded by start + depth, which
-    is exhaustive for the bounded-round game.
+    One threshold per pair and Spoiler counter (see `SpoilerAttractor`) over
+    the grid bounded by start + depth, exhaustive for the bounded-round game.
     """
     left, right = position
     pair: Node = (left.state, right.state)

@@ -20,3 +20,24 @@ def test_tracer_installs_and_restores_every_name(monkeypatch):
     for owner, attr, fn in patched:
         current = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
         assert current is fn, f"{owner.__name__}.{attr} not restored"
+
+
+def test_tracer_counts_every_won_attractor_cell(monkeypatch):
+    from nets import NET_A, NET_ACOPY
+    from ocnsim.coloring import StrongSimEngine
+
+    monkeypatch.setattr(sys, "path", [*sys.path, str(BENCH)])
+    tracer = importlib.import_module("tracing").Tracer()
+    tracer.install()
+    try:
+        tracer.begin_instance(0)
+        eng = StrongSimEngine(NET_A, NET_ACOPY)
+        assert eng.decide(("p", 10), ("q", 9)) is False
+        tracer.end_instance()
+    finally:
+        tracer.uninstall()
+    att = eng._attractor
+    grid = range(att.bound + 1)
+    won = sum(att.rank(pair, (n, m)) is not None for pair in att.scope for n in grid for m in grid)
+    assert won > 0
+    assert tracer.counts["attractor.cells"] == won

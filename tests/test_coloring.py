@@ -3,10 +3,11 @@ import random
 import pytest
 
 from nets import NET_A, NET_ACOPY, NET_B, NET_Z, random_pair
-from ocnsim.core import Config, Ocn, normalize_pair
+from ocnsim.core import Config, Ocn, build_product, normalize_pair
 from ocnsim.coloring import (
     GeometryError,
     PairGeometry,
+    SpoilerAttractor,
     StrongSimEngine,
     decide_strong,
     find_equal_cross_sections,
@@ -64,6 +65,20 @@ def test_spoiler_bounded_win_matches_oracle():
     ):
         for d in (depth, depth + 1):
             assert spoiler_bounded_win(nets, pos, d) == bounded_round_winner(nets, pos, d).spoiler_wins
+
+
+def test_attractor_ranks_up_to_the_grid_edge():
+    # Spoiler climbs while Duplicator falls: from (n, m) Duplicator is stuck
+    # after m + 1 rounds at (n + m, 0), whose last move leaves the grid when
+    # n + m = bound and still wins, since its only reply decrements
+    sp = Ocn("S", ("s",), ("a",), (("s", "a", 1, "s"),))
+    dup = Ocn("D", ("d",), ("a",), (("d", "a", -1, "d"),))
+    att = SpoilerAttractor(build_product(*normalize_pair(sp, dup)))
+    att.ensure(64, 64)
+    for n in range(att.bound + 2):
+        for m in range(att.bound + 2):
+            want = m + 1 if n + m <= att.bound and m < att.max_rank else None
+            assert att.rank(("s", "d"), (n, m)) == want, (n, m)
 
 
 # ---------------------------------------------------------------------------
