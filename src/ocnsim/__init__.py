@@ -6,13 +6,12 @@ from .coloring import (
     EngineLimits,
     QuotientColoring,
     StrongSimEngine,
-    decide_strong,
     solve_quotient,
     spoiler_bounded_win,
     verify_coloring,
 )
 from .geometry import Slope
-from .slope_game import belt_constant, boundary_slope, solve_slope_game
+from .slope_game import belt_constant
 
 __all__ = [
     "Belt",
@@ -23,14 +22,11 @@ __all__ = [
     "Slope",
     "StrongSimEngine",
     "belt_constant",
-    "boundary_slope",
     "build_product",
-    "decide_strong",
     "format_net",
     "normalize_pair",
     "parse_net",
     "solve_quotient",
-    "solve_slope_game",
     "spoiler_bounded_win",
     "steps",
     "verify_coloring",

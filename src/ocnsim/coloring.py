@@ -201,58 +201,50 @@ class QuotientColoring:
     # -- greatest fixpoint ---------------------------------------------------
 
     def _solve(self) -> dict[Node, dict[Point, bool]]:
+        """The counter worklist of Henzinger-Henzinger-Kopke and Liu-Smolka:
+        every Spoiler rule of a window point counts its distinct live reply
+        slots, and a point dies once one of its rules counts none.  Each
+        reply is resolved once, and looked at again only once, when its slot
+        dies, instead of on every re-check of the rules of its point.  A rule
+        with a reply above the belt is always answered and is not counted."""
         geometry = self.geometry
         values = {
             pair: dict.fromkeys(geo.window_points(), True)
             for pair, geo in geometry.items()
         }
-
-        conds: dict[tuple[Node, Point], list[list[object]]] = {}
-        readers: dict[tuple[Node, Point], list[tuple[Node, Point]]] = {}
+        owner: list[tuple[Node, Point]] = []  # per rule, its point
+        live: list[int] = []  # per rule, its slots not yet dead
+        readers: dict[tuple[Node, Point], list[int]] = {}
+        dead: list[tuple[Node, Point]] = []
         for pair, vals in values.items():
             for pt in vals:
-                groups: list[list[object]] = []
                 for replies in self._alternatives(pair, pt):
-                    slots: list[object] = []
-                    for tgt_pair, tgt_pt in replies:
-                        res = geometry[tgt_pair].resolve(tgt_pt)
-                        if res is True:
-                            slots = [True]
+                    slots: set[tuple[Node, Point]] | None = set()
+                    for tgt, tpt in replies:
+                        res = geometry[tgt].resolve(tpt)
+                        if res is True:  # a reply above the belt answers the rule
+                            slots = None
                             break
-                        if res is False:
-                            continue
-                        slot = (tgt_pair, res)
-                        slots.append(slot)
-                        readers.setdefault(slot, []).append((pair, pt))
-                    groups.append(slots)
-                conds[(pair, pt)] = groups
-
-        def holds(key: tuple[Node, Point]) -> bool:
-            for slots in conds[key]:
-                ok = False
-                for slot in slots:
-                    if slot is True or values[slot[0]][slot[1]]:
-                        ok = True
+                        if res is not False:
+                            slots.add((tgt, res))
+                    if slots is None:
+                        continue
+                    if not slots:
+                        dead.append((pair, pt))
                         break
-                if not ok:
-                    return False
-            return True
-
-        queue = deque(conds)
-        queued = set(conds)
-        while queue:
-            key = queue.popleft()
-            queued.discard(key)
-            pair, pt = key
+                    for slot in slots:
+                        readers.setdefault(slot, []).append(len(owner))
+                    owner.append((pair, pt))
+                    live.append(len(slots))
+        while dead:
+            pair, pt = key = dead.pop()
             if not values[pair][pt]:
                 continue
-            if holds(key):
-                continue
             values[pair][pt] = False
-            for reader in readers.get(key, ()):
-                if values[reader[0]][reader[1]] and reader not in queued:
-                    queue.append(reader)
-                    queued.add(reader)
+            for rule in readers.get(key, ()):
+                live[rule] -= 1
+                if not live[rule]:
+                    dead.append(owner[rule])
         return values
 
     # -- verification --------------------------------------------------------
@@ -635,7 +627,7 @@ class EngineLimits:
     """Resource caps for the escalation loop; exceeding them yields an honest
     "undecided" answer, never a wrong one."""
 
-    k_schedule: tuple[int, ...] = (1, 2, 3, 4, 6, 8)
+    k_schedule: tuple[int, ...] = (1, 2, 3, 4, 6)
     spoiler_depth_cap: int = 4096
     max_rect: int = 20000
 
@@ -676,7 +668,18 @@ class StrongSimEngine:
         self._belts = {
             node: Belt(node, scan.boundary, self.c_pair[node]) for node, scan in self.scans.items()
         }
-        self.w = max(W0, max(self.c_pair.values(), default=0) + 2)
+        c_max = max(self.c_pair.values(), default=0)
+        self.w = max(W0, c_max + 2)
+        # per round: window rect(j), period k and attractor depth
+        j0, ks = self.w + 2 * c_max + 1, self.limits.k_schedule
+        self.schedule = tuple(
+            (
+                min(j0 * 2 ** max(0, i - 1), self.limits.max_rect),
+                ks[min(i, len(ks) - 1)],
+                min(DEPTH0 * 2**i, self.limits.spoiler_depth_cap),
+            )
+            for i in range(MAX_ROUNDS)
+        )
         self.colorings: dict[tuple[int, int], QuotientColoring] = {}
         self._attractor = SpoilerAttractor(self.product, self.scope)
 
@@ -704,16 +707,6 @@ class StrongSimEngine:
         return _symmetric_geometry(self._belts.values(), (self.w, self.w), j, k)
 
     # -- escalation ----------------------------------------------------------
-
-    def _schedule(self) -> list[tuple[int, int, int]]:
-        c_max = max(self.c_pair.values(), default=0)
-        j0 = self.w + 2 * c_max + 1
-        out = []
-        for i in range(MAX_ROUNDS):
-            k = self.limits.k_schedule[min(i, len(self.limits.k_schedule) - 1)]
-            j = min(j0 * (2 ** max(0, i - 1)), self.limits.max_rect)
-            out.append((j, k, min(DEPTH0 * 2**i, self.limits.spoiler_depth_cap)))
-        return out
 
     def coloring(self, j: int, k: int) -> QuotientColoring:
         key = (j, k)
@@ -768,7 +761,7 @@ class StrongSimEngine:
         if zone is not None:
             return zone
         attractor_feasible = max(pt) <= 4 * self.limits.max_rect
-        for j, k, depth in self._schedule():
+        for j, k, depth in self.schedule:
             col = self.coloring(j, k)
             if col.certified_yes and col.lookup(pair, pt):
                 return True
@@ -784,7 +777,7 @@ class StrongSimEngine:
 
     def certified_coloring(self) -> QuotientColoring | None:
         """First coloring of the escalation schedule that certifies."""
-        for j, k, _ in self._schedule():
+        for j, k, _ in self.schedule:
             col = self.coloring(j, k)
             if col.certified_yes:
                 return col
@@ -794,7 +787,7 @@ class StrongSimEngine:
         """First coloring certified on both sides: claimed points verified
         locally, excluded window points confirmed by bounded Spoiler wins,
         periodicity witnessed by equal cross-sections."""
-        for j, k, _ in self._schedule():
+        for j, k, _ in self.schedule:
             col = self.coloring(j, k)
             if col.certified_yes and self._ensure_exact(col):
                 return col
@@ -810,19 +803,3 @@ class StrongSimEngine:
         out = copy.copy(col)
         out.values = {pair: dict(vals) for pair, vals in col.values.items()}
         return out
-
-
-def decide_strong(
-    spoiler_net: Ocn,
-    duplicator_net: Ocn,
-    left: "Config",
-    right: "Config",
-    limits: EngineLimits | None = None,
-) -> bool | None:
-    """Decide left <= right (strong simulation) for one configuration pair.
-
-    Normalizes, computes belts, resolves trivial-zone points immediately and
-    otherwise escalates quotient colorings in tandem with bounded Spoiler
-    search.  Returns None only when the resource caps are exceeded.
-    """
-    return StrongSimEngine(spoiler_net, duplicator_net, limits).decide(left, right)

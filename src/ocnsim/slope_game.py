@@ -16,7 +16,6 @@ from .core import Node, ProductGraph, _tarjan_sccs, graph_parameters
 from .geometry import (
     Slope,
     Vec2,
-    interval_representatives,
     is_behind,
 )
 
@@ -62,6 +61,9 @@ class SlopeGameSolver:
         self._phase_bound = (product.K + 1) ** 2
 
     def solve(self, node: Node, slope: Slope) -> SlopeGameResult:
+        """Winner of the Slope Game from (node, slope), with the segment
+        depth of a winning strategy (the first one found, not necessarily the
+        shallowest; any witness depth keeps the replay margins sound)."""
         return self._phase_value(node, slope.normalized(), 1)
 
     def _phase_value(self, node: Node, slope: Slope, chain_depth: int) -> SlopeGameResult:
@@ -157,13 +159,6 @@ class SlopeGameSolver:
                 return sub
             worst_sp = max(worst_sp, sub.segment_depth)
         return SlopeGameResult(SPOILER, worst_sp)
-
-
-def solve_slope_game(g: ProductGraph, node: Node, slope: Slope) -> SlopeGameResult:
-    """Winner of the Slope Game from (node, slope), with the segment depth of
-    a winning strategy (the first one found, not necessarily the shallowest;
-    any witness depth keeps the replay margins sound)."""
-    return SlopeGameSolver(g).solve(node, slope)
 
 
 def cycle_effect_candidates(
@@ -268,14 +263,6 @@ def scan_pair(
         c_above = K * win.segment_depth
         c_below = K * outcomes[first_dup - 1].segment_depth
     return PairScan(node, boundary, tuple(outcomes), c_above, c_below)
-
-
-def boundary_slope(g: ProductGraph, node: Node) -> Slope:
-    """The pair's boundary slope: Spoiler wins the Slope Game strictly below
-    it, Duplicator strictly above; the winner at the boundary itself is left
-    open.  Components lie in [0, K]."""
-    reps = interval_representatives(cycle_effect_candidates(g))
-    return scan_pair(g, node, reps, SlopeGameSolver(g)).boundary
 
 
 def belt_constant(g: ProductGraph) -> int:

@@ -5,11 +5,13 @@ import pytest
 from nets import NET_A, NET_ACOPY, NET_B, NET_Z, random_pair
 from ocnsim.core import Config, Ocn, build_product, normalize_pair
 from ocnsim.coloring import (
+    MAX_ROUNDS,
+    EngineLimits,
     GeometryError,
     PairGeometry,
+    QuotientColoring,
     SpoilerAttractor,
     StrongSimEngine,
-    decide_strong,
     find_equal_cross_sections,
     solve_quotient,
     spoiler_bounded_win,
@@ -119,6 +121,33 @@ def test_solve_quotient_monotone_in_j_and_k():
                 if v:
                     assert bigger_j.lookup(pair, pt)
                     assert multiple_k.lookup(pair, pt)
+
+
+def _kleene(product, geometry):
+    """The greatest fixpoint by naive iteration from all-true window values:
+    falsify every true point whose one-step condition fails, until stable."""
+    top = {pair: dict.fromkeys(geo.window_points(), True) for pair, geo in geometry.items()}
+    col = QuotientColoring(product, geometry, top)
+    changed = True
+    while changed:
+        changed = False
+        for pair, vals in col.values.items():
+            for pt, v in vals.items():
+                if v and not col.condition_holds(pair, pt):
+                    vals[pt] = False
+                    changed = True
+    return col.values
+
+
+def test_quotient_values_are_the_greatest_fixpoint():
+    # the second round's windows of seeds 6, 12 and 27 (and the first of 15
+    # and 19) have rules with two replies wrapping onto one window point
+    cases = [(seed, 0) for seed in range(40)] + [(seed, 1) for seed in (6, 12, 27)]
+    for seed, rnd in cases:
+        eng = _engine(*random_pair(seed))
+        j, k, _ = eng.schedule[rnd]
+        col = eng.coloring(j, k)
+        assert col.values == _kleene(eng.product, col.geometry), (seed, rnd)
 
 
 def test_window_points_match_zone_predicates():
@@ -233,13 +262,19 @@ def test_export_is_an_independent_copy():
 
 
 # ---------------------------------------------------------------------------
-# decide_strong
+# engine decisions
 
 
 def test_decide_strong_reference_answers():
-    assert decide_strong(NET_A, NET_ACOPY, Config("p", 3), Config("q", 5)) is True
-    assert decide_strong(NET_A, NET_ACOPY, Config("p", 5), Config("q", 3)) is False
-    assert decide_strong(NET_Z, NET_B, Config("z", 0), Config("r", 0)) is True
+    assert _engine(NET_A, NET_ACOPY).decide(Config("p", 3), Config("q", 5)) is True
+    assert _engine(NET_A, NET_ACOPY).decide(Config("p", 5), Config("q", 3)) is False
+    assert _engine(NET_Z, NET_B).decide(Config("z", 0), Config("r", 0)) is True
+
+
+def test_schedule_reaches_every_default_period():
+    eng = _engine(NET_A, NET_ACOPY)
+    assert len(eng.schedule) == MAX_ROUNDS
+    assert tuple(k for _, k, _ in eng.schedule) == EngineLimits().k_schedule
 
 
 def test_decide_strong_identity_simulation():

@@ -2,6 +2,7 @@ import random
 from math import gcd
 
 from nets import NET_A, NET_ACOPY, NET_B, NET_Z, random_pair
+from ocnsim.coloring import StrongSimEngine
 from ocnsim.core import Ocn, build_product, normalize_pair
 from ocnsim.geometry import Slope, equivalent, interval_representatives
 from ocnsim.slope_game import (
@@ -9,11 +10,9 @@ from ocnsim.slope_game import (
     SPOILER,
     SlopeGameSolver,
     belt_constant,
-    boundary_slope,
     cycle_effect_candidates,
     evaluate_lasso,
     scan_pair,
-    solve_slope_game,
 )
 
 
@@ -31,16 +30,16 @@ def test_evaluate_lasso_cases():
 def test_solve_a_vs_a():
     g = _product(NET_A, NET_ACOPY)
     node = ("p", "q")
-    assert solve_slope_game(g, node, Slope(2, 1)).winner == SPOILER
-    assert solve_slope_game(g, node, Slope(2, 1)).segment_depth == 1
-    assert solve_slope_game(g, node, Slope(1, 2)).winner == DUPLICATOR
-    assert solve_slope_game(g, node, Slope(1, 1)).winner == DUPLICATOR
+    assert SlopeGameSolver(g).solve(node, Slope(2, 1)).winner == SPOILER
+    assert SlopeGameSolver(g).solve(node, Slope(2, 1)).segment_depth == 1
+    assert SlopeGameSolver(g).solve(node, Slope(1, 2)).winner == DUPLICATOR
+    assert SlopeGameSolver(g).solve(node, Slope(1, 1)).winner == DUPLICATOR
 
 
 def test_solve_z_vs_b_duplicator_everywhere():
     g = _product(NET_Z, NET_B)
     for s in [Slope(1, 0), Slope(2, 1), Slope(1, 1), Slope(1, 2), Slope(0, 1)]:
-        res = solve_slope_game(g, ("z", "r"), s)
+        res = SlopeGameSolver(g).solve(("z", "r"), s)
         assert res.winner == DUPLICATOR and res.segment_depth == 1
 
 
@@ -48,7 +47,7 @@ def test_solve_b_vs_z_two_phases():
     # at slope (1,2) the a-lasso's effect (1,0) is behind and positive, so the
     # game continues one phase at (1,0) where the same effect is collinear
     g = _product(NET_B, NET_Z)
-    res = solve_slope_game(g, ("r", "z"), Slope(1, 2))
+    res = SlopeGameSolver(g).solve(("r", "z"), Slope(1, 2))
     assert res.winner == DUPLICATOR and res.segment_depth == 2
 
 
@@ -80,18 +79,19 @@ def test_cycle_candidates_closed_under_negation():
 
 
 def test_boundary_slopes_of_reference_pairs():
-    assert boundary_slope(_product(NET_A, NET_ACOPY), ("p", "q")) == Slope(1, 1)
-    assert boundary_slope(_product(NET_Z, NET_B), ("z", "r")) == Slope(1, 0)
+    assert StrongSimEngine(NET_A, NET_ACOPY).scans[("p", "q")].boundary == Slope(1, 1)
+    assert StrongSimEngine(NET_Z, NET_B).scans[("z", "r")].boundary == Slope(1, 0)
     # Spoiler pumps while Duplicator drains: vertical belt
-    assert boundary_slope(_product(NET_B, NET_A), ("r", "p")) == Slope(0, 1)
+    assert StrongSimEngine(NET_B, NET_A).scans[("r", "p")].boundary == Slope(0, 1)
 
 
 def test_boundary_slope_components_bounded_by_k():
     for seed in range(25):
-        g = _product(*random_pair(seed))
-        for node in g.nodes:
-            b = boundary_slope(g, node)
-            assert 0 <= b.rho <= g.K and 0 <= b.rho_prime <= g.K
+        eng = StrongSimEngine(*random_pair(seed))
+        k = eng.product.K
+        for scan in eng.scans.values():
+            b = scan.boundary
+            assert 0 <= b.rho <= k and 0 <= b.rho_prime <= k
 
 
 def test_belt_constant_a_vs_a_is_4():
