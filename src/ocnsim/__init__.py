@@ -6,8 +6,6 @@ from .coloring import (
     EngineLimits,
     QuotientColoring,
     StrongSimEngine,
-    solve_quotient,
-    spoiler_bounded_win,
     verify_coloring,
 )
 from .geometry import Slope
@@ -26,8 +24,6 @@ __all__ = [
     "format_net",
     "normalize_pair",
     "parse_net",
-    "solve_quotient",
-    "spoiler_bounded_win",
     "steps",
     "verify_coloring",
 ]

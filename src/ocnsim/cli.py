@@ -139,13 +139,14 @@ def check(mode, tau, as_json, max_depth, max_period, max_rect, dump_dir,
             engine = StrongSimEngine(spoiler, duplicator, limits)
             answer = engine.decide(left, right)
         else:
-            from .weaksim import decide_weak  # imported here: strong checks skip it
-            decision = decide_weak(spoiler, duplicator, left, right, tau=tau, limits=limits)
-            answer = decision.answer
+            from .weaksim import converge_weak  # imported here: strong checks skip it
+            conv = converge_weak(spoiler, duplicator, tau=tau, limits=limits)
+            engine = conv.engine
+            answer = conv.decide(left, right)
             if dump_dir is not None:
                 out_dir = Path(dump_dir)
                 out_dir.mkdir(parents=True, exist_ok=True)
-                for nets in decision.approximants:
+                for nets in conv.approximants:
                     (out_dir / f"level{nets.level}_spoiler.ocn").write_text(
                         format_net(nets.spoiler), encoding="utf-8"
                     )

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import copy
 from collections import deque
-from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate, chain, repeat
 from math import ceil
 from operator import mul, sub
@@ -79,28 +79,33 @@ class PairGeometry(Belt):
     j: int
     k: int
 
-    def in_belt(self, pt: Point) -> bool:
-        return self.zone(pt) is None
-
     def resolve(self, pt: Point) -> bool | Point:
         """The zone value of a point, or else the window point standing for
         it: the point itself inside rect(j + k), its wrap beyond."""
         zone = self.zone(pt)
         if zone is not None:
             return zone
-        return pt if self.in_rect(pt, self.j + self.k) else self.wrap(pt)
+        return pt if self.in_window(pt) else self.wrap(pt)
 
     def rect_cap(self, j: int) -> Point:
         return (self.l0[0] + j * self.slope.rho, self.l0[1] + j * self.slope.rho_prime)
+
+    @cached_property
+    def cap(self) -> Point:
+        """The window corner, rect_cap(j + k)."""
+        return self.rect_cap(self.j + self.k)
 
     def in_rect(self, pt: Point, j: int) -> bool:
         cap = self.rect_cap(j)
         return pt[0] <= cap[0] and pt[1] <= cap[1]
 
+    def in_window(self, pt: Point) -> bool:
+        return pt[0] <= self.cap[0] and pt[1] <= self.cap[1]
+
     def window_points(self) -> list[Point]:
         """All points of belt /\\ rect(j + k), row by row."""
         rho, rho2 = self.slope.rho, self.slope.rho_prime
-        X, Y = self.rect_cap(self.j + self.k)
+        X, Y = self.cap
         c = self.c
         pts: list[Point] = []
         for n in range(0, X + 1):
@@ -123,7 +128,7 @@ class PairGeometry(Belt):
         """Map an in-belt point beyond rect(j + k) to its window representative
         by subtracting multiples of k*slope."""
         rho, rho2 = self.slope.rho, self.slope.rho_prime
-        X, Y = self.rect_cap(self.j + self.k)
+        X, Y = self.cap
         n, m = pt
         shifts = []
         if n > X:
@@ -138,7 +143,7 @@ class PairGeometry(Belt):
             return pt
         t = max(shifts)
         out = (n - t * self.k * rho, m - t * self.k * rho2)
-        if out[0] < 0 or out[1] < 0 or not self.in_rect(out, self.j + self.k):
+        if out[0] < 0 or out[1] < 0 or not self.in_window(out):
             raise GeometryError(f"{self.pair}: wrap of {pt} left the window at {out}")
         return out
 
@@ -265,7 +270,7 @@ class QuotientColoring:
         return [
             pt
             for pt in self.values[pair]
-            if not geo.in_rect((pt[0] + step[0], pt[1] + step[1]), geo.j + geo.k)
+            if not geo.in_window((pt[0] + step[0], pt[1] + step[1]))
         ]
 
     def certify_periodicity(self) -> list[str]:
@@ -354,7 +359,7 @@ def _crossing_horizon(bbox: tuple[Point, Point], step: Point, og: PairGeometry) 
     """
     rho, rho2 = og.slope.rho, og.slope.rho_prime
     c = og.c
-    X, Y = og.rect_cap(og.j + og.k)
+    X, Y = og.cap
     # Affine functionals f(n, n') = a*n + b*n' + const whose sign matters.
     functionals = [
         (rho2, -rho, rho2 * c + rho * c),   # above-zone main inequality
@@ -497,46 +502,8 @@ class SpoilerAttractor:
         return left
 
 
-def spoiler_bounded_win(
-    nets: tuple[Ocn, Ocn], position: tuple["Config", "Config"], depth: int = 64
-) -> bool:
-    """True iff Spoiler forces a win within `depth` rounds from the position.
-
-    One threshold per pair and Spoiler counter (see `SpoilerAttractor`) over
-    the grid bounded by start + depth, exhaustive for the bounded-round game.
-    """
-    left, right = position
-    pair: Node = (left.state, right.state)
-    point: Point = (left.counter, right.counter)
-    att = SpoilerAttractor(build_product(*nets))
-    return not att.unconfirmed([(pair, point)], depth)
-
-
 # ---------------------------------------------------------------------------
-# Public quotient solver & verification
-
-
-def _symmetric_geometry(
-    belts: Iterable[Belt], l0: Point, j: int, k: int
-) -> dict[Node, PairGeometry]:
-    return {b.pair: PairGeometry(b.pair, b.slope, b.c, l0, j, k) for b in belts}
-
-
-def solve_quotient(
-    nets: tuple[Ocn, Ocn], belts: list[Belt], l0: Point, j: int, k: int
-) -> QuotientColoring:
-    """Greatest fixpoint of the simulation condition over the finite quotient:
-    belt windows up to rect(j + k) with k*slope wrap beyond rect(j), zone
-    points fixed to their certified values.
-
-    The result is the largest k-periodic-beyond-j simulation within the
-    given belts: a sound under-approximation of the simulation preorder,
-    exact once (j, k) subsume the relation's true periodicity.
-    """
-    if k < 1 or j < 0:
-        raise ValueError("need k >= 1 and j >= 0")
-    product = build_product(*nets)
-    return QuotientColoring(product, _symmetric_geometry(belts, l0, j, k))
+# Verification
 
 
 def verify_coloring(
@@ -570,15 +537,13 @@ def verify_coloring(
     return report
 
 
-def find_equal_cross_sections(
-    col: QuotientColoring, pair: Node, *, max_shift: int = 4
-) -> tuple[int, int, int] | None:
+def find_equal_cross_sections(col: QuotientColoring, pair: Node) -> tuple[int, int, int] | None:
     """First pair of equal cross-sections of a pair's coloring.
 
     A cross-section at level L is the coloring on two consecutive lines at L;
     two sections are equal when one is the other shifted by a multiple of the
     slope.  Steep belts are scanned along Duplicator's axis, shallow belts
-    along Spoiler's.  Returns (level1, level2, k) or None within the bound.
+    along Spoiler's.  Returns (level1, level2, k) with k <= MAX_SHIFT, or None.
     """
     geo = col.geometry[pair]
     s = geo.slope
@@ -586,8 +551,7 @@ def find_equal_cross_sections(
     axis, step = (1, s.rho_prime) if steep else (0, s.rho)
     if step == 0:
         return None
-    cap = geo.rect_cap(geo.j + geo.k)
-    top = cap[axis] - 1
+    top = geo.cap[axis] - 1
 
     by_level: dict[int, set[Point]] = {}
     for pt, v in col.values[pair].items():
@@ -598,7 +562,7 @@ def find_equal_cross_sections(
         return frozenset(by_level.get(level, set()) | by_level.get(level + 1, set()))
 
     for level1 in range(0, top + 1):
-        for kk in range(1, max_shift + 1):
+        for kk in range(1, MAX_SHIFT + 1):
             level2 = level1 + kk * step
             if level2 + 1 > top + 1:
                 break
@@ -615,11 +579,13 @@ def find_equal_cross_sections(
 
 # The escalation schedule: the window corner is (w, w) with w >= W0; round i
 # searches Spoiler wins DEPTH0 * 2**i deep; certification follows a wrap
-# target's translates up to HORIZON_CAP steps.
+# target's translates up to HORIZON_CAP steps, and exactness looks for equal
+# cross-sections at most MAX_SHIFT slope steps apart.
 W0 = 24
 DEPTH0 = 32
 MAX_ROUNDS = 5
 HORIZON_CAP = 256
+MAX_SHIFT = 4
 
 
 @dataclass
@@ -660,7 +626,7 @@ class StrongSimEngine:
         self.solver = SlopeGameSolver(self.product)
         mk = len(self.scope)
         self.scans: dict[Node, PairScan] = {
-            v: scan_pair(self.product, v, self.reps, self.solver, mk) for v in self.scope
+            v: scan_pair(v, self.reps, self.solver, mk) for v in self.scope
         }
         self.c_pair = {
             node: max(scan.c_above, scan.c_below) for node, scan in self.scans.items()
@@ -704,7 +670,8 @@ class StrongSimEngine:
         return [belt for _, belt in sorted(self._belts.items())]
 
     def geometry(self, j: int, k: int) -> dict[Node, PairGeometry]:
-        return _symmetric_geometry(self._belts.values(), (self.w, self.w), j, k)
+        l0 = (self.w, self.w)
+        return {b.pair: PairGeometry(b.pair, b.slope, b.c, l0, j, k) for b in self._belts.values()}
 
     # -- escalation ----------------------------------------------------------
 

@@ -212,13 +212,14 @@ def reduce_weak_to_strong(
                 omega_req: int | None = None
                 for x, da, y in mids:
                     pre_pump = prof.pump_required.get((p, x))
-                    if pre_pump is not None and _tau_reachable(prof, y, r):
+                    # edge-wise: a simple tau path exists iff any path does
+                    if pre_pump is not None and prof.profiles.get((y, r)):
                         omega_req = pre_pump if omega_req is None else min(omega_req, pre_pump)
                     for e1, r1 in prof.profiles.get((p, x), ()):
                         post_pump = prof.pump_required.get((y, r))
                         if post_pump is not None:
-                            mp = min(-r1, e1 + min(0, da), e1 + da - post_pump)
-                            omega_req = -mp if omega_req is None else min(omega_req, -mp)
+                            need = _concat((e1, r1), da, (0, post_pump))[1]
+                            omega_req = need if omega_req is None else min(omega_req, need)
                         for e2, r2 in prof.profiles.get((y, r), ()):
                             finite.append(_concat((e1, r1), da, (e2, r2)))
                 for e, req in _pareto(finite):
@@ -239,11 +240,6 @@ def reduce_weak_to_strong(
         tuple(dict.fromkeys(trans)),
     )
     return m_net, m_omega
-
-
-def _tau_reachable(prof: TauProfiles, x: str, y: str) -> bool:
-    # edge-wise: a simple path exists iff any path does
-    return bool(prof.profiles.get((x, y)))
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +429,7 @@ def compute_suff(engine: StrongSimEngine, pair: Node) -> int | None:
     if col is None:
         raise CapsExceeded(f"no exact coloring for suff at {pair}")
     geo = col.geometry[pair]
-    stable_level = geo.rect_cap(geo.j + geo.k)[1] + geo.k
+    stable_level = geo.cap[1] + geo.k
     c = engine.c_pair[pair]
     for n in range(0, c + 2):
         if not col.lookup(pair, (n, stable_level)):

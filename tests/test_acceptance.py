@@ -12,7 +12,7 @@ import pytest
 
 from nets import NET_A, NET_ACOPY, NET_B, NET_Z, random_net
 from ocnsim.core import Config, Ocn, normalize_pair
-from ocnsim.coloring import StrongSimEngine, find_equal_cross_sections, solve_quotient
+from ocnsim.coloring import StrongSimEngine, find_equal_cross_sections
 from ocnsim.geometry import Slope, c_above, c_below, is_behind
 from ocnsim.oracle import bounded_weak_round_winner, check_candidate
 from ocnsim.slope_game import DUPLICATOR, SPOILER
@@ -112,14 +112,14 @@ def suite() -> SuiteStats:
         # criterion 6: periodic re-expansion and cross-section periods
         col = eng.certified_coloring()
         geo0 = next(iter(col.geometry.values()))
-        wider = solve_quotient(nets, eng.belts(), geo0.l0, j=geo0.j + 2 * geo0.k, k=geo0.k)
+        wider = eng.coloring(geo0.j + 2 * geo0.k, geo0.k)
         for pair, vals in wider.values.items():
             for pt, v in vals.items():
                 if col.lookup(pair, pt) != v:
                     stats.expansion_mismatches.append((seed, pair, pt))
                     break
         for pair in col.values:
-            res = find_equal_cross_sections(col, pair, max_shift=4)
+            res = find_equal_cross_sections(col, pair)
             if res is None:
                 stats.section_failures.append((seed, pair))
 

@@ -52,6 +52,11 @@ def test_check_json_schema():
 def test_check_weak():
     res = run("check", "--weak", A, ACOPY, "p:3", "q:5")
     assert res.exit_code == 0
+    # --json reports the converged approximant engine, which without tau
+    # answers as the strong one does: one belt, certified at (j, k) = (27, 1)
+    for mode in ("--weak", "--strong"):
+        obj = json.loads(run("check", mode, "--json", A, ACOPY, "p:3", "q:5").output)
+        assert (obj["verdict"], obj["belts_used"], obj["j"], obj["k"]) == ("true", 1, 27, 1)
 
 
 def test_check_parse_error_names_line():

@@ -13,8 +13,6 @@ from ocnsim.coloring import (
     SpoilerAttractor,
     StrongSimEngine,
     find_equal_cross_sections,
-    solve_quotient,
-    spoiler_bounded_win,
     verify_coloring,
 )
 from ocnsim.geometry import Slope, c_above, c_below
@@ -27,6 +25,14 @@ def _engine(spoiler, duplicator, **kw):
 
 # ---------------------------------------------------------------------------
 # bounded Spoiler search
+
+
+def spoiler_bounded_win(nets, position, depth):
+    """True iff the attractor over the nets' product lists a Spoiler win
+    within `depth` rounds from the position."""
+    (left, right), product = position, build_product(*nets)
+    points = [((left.state, right.state), (left.counter, right.counter))]
+    return not SpoilerAttractor(product).unconfirmed(points, depth)
 
 
 def test_spoiler_bounded_win_a_vs_a():
@@ -87,35 +93,32 @@ def test_attractor_ranks_up_to_the_grid_edge():
 # quotient colorings
 
 
-def test_solve_quotient_a_vs_a_matches_oracle_region():
+def test_quotient_a_vs_a_matches_oracle_region():
     eng = _engine(NET_A, NET_ACOPY)
-    nets = (eng.spoiler_net, eng.duplicator_net)
-    col = solve_quotient(nets, eng.belts(), (24, 24), j=27, k=1)
+    assert eng.w == 24
+    col = eng.coloring(27, 1)
     for n in range(0, 31):
         for m in range(0, 31):
             assert col.lookup(("p", "q"), (n, m)) == (n <= m)
 
 
-def test_solve_quotient_all_win_pairs():
+def test_quotient_all_win_pairs():
     for sp, dn, pair in [(NET_Z, NET_B, ("z", "r")), (NET_A, NET_Z, ("p", "z"))]:
         eng = _engine(sp, dn)
-        nets = (eng.spoiler_net, eng.duplicator_net)
-        col = solve_quotient(nets, eng.belts(), (eng.w, eng.w), j=eng.w + 3, k=1)
+        col = eng.coloring(eng.w + 3, 1)
         for n in range(0, 25, 3):
             for m in range(0, 25, 3):
                 assert col.lookup(pair, (n, m))
 
 
-def test_solve_quotient_monotone_in_j_and_k():
+def test_quotient_monotone_in_j_and_k():
     # growing the window or refining the period to a multiple never loses points
     for seed in (2, 5, 11):
         n, m = random_pair(seed)
         eng = _engine(n, m)
-        nets = (eng.spoiler_net, eng.duplicator_net)
-        belts = eng.belts()
-        base = solve_quotient(nets, belts, (eng.w, eng.w), j=eng.w, k=1)
-        bigger_j = solve_quotient(nets, belts, (eng.w, eng.w), j=2 * eng.w, k=1)
-        multiple_k = solve_quotient(nets, belts, (eng.w, eng.w), j=eng.w, k=2)
+        base = eng.coloring(eng.w, 1)
+        bigger_j = eng.coloring(2 * eng.w, 1)
+        multiple_k = eng.coloring(eng.w, 2)
         for pair, vals in base.values.items():
             for pt, v in vals.items():
                 if v:
@@ -162,7 +165,12 @@ def test_window_points_match_zone_predicates():
             (rng.randint(2, 20), rng.randint(2, 20)), rng.randint(0, 8), rng.randint(1, 4),
         )
         X, Y = geo.rect_cap(geo.j + geo.k)
-        expect = {(n, m) for n in range(X + 1) for m in range(Y + 1) if geo.in_belt((n, m))}
+        expect = {
+            (n, m)
+            for n in range(X + 1)
+            for m in range(Y + 1)
+            if not c_above((n, m), geo.slope, geo.c) and not c_below((n, m), geo.slope, geo.c)
+        }
         assert set(geo.window_points()) == expect
 
 
@@ -340,9 +348,8 @@ def test_periodic_expansion_matches_recomputation():
         eng = _engine(n, m)
         col = eng.certified_coloring()
         assert col is not None
-        nets = (eng.spoiler_net, eng.duplicator_net)
         geo0 = next(iter(col.geometry.values()))
-        wider = solve_quotient(nets, eng.belts(), geo0.l0, j=geo0.j + 2 * geo0.k, k=geo0.k)
+        wider = eng.coloring(geo0.j + 2 * geo0.k, geo0.k)
         for pair, vals in wider.values.items():
             for pt, v in vals.items():
                 assert col.lookup(pair, pt) == v, (pair, pt)

@@ -220,3 +220,42 @@ def test_decide_weak_matches_bounded_oracle_on_tau_acyclic():
                         assert answer == (not verdict.spoiler_wins), (
                             seed, q, q2, c1, c2
                         )
+
+
+def test_converged_false_answers_are_spoiler_wins_on_tau_cyclic():
+    # tau edges both ways between distinct Duplicator states, so tau cycles
+    # (and pumping) occur.  A tau cap only weakens Duplicator, so the bounded
+    # oracle can refute no true answer, but every false answer must be a
+    # Spoiler win in it.  Two-state nets keep the approximants small.
+    from ocnsim.weaksim import converge_weak
+
+    falses = 0
+    for seed in range(12):
+        rng = random.Random(seed)
+        sp, dup0 = random_pair(seed, max_states=2)
+        extra = tuple(
+            (s, "tau", rng.choice((-1, 0, 1)), t)
+            for s in dup0.states
+            for t in dup0.states
+            if s != t and rng.random() < 0.5
+        )
+        dup = Ocn(
+            dup0.name, dup0.states, tuple(sorted({*dup0.actions, "tau"})), dup0.transitions + extra
+        )
+        conv = converge_weak(sp, dup)
+        for c1 in (0, 2, 6):
+            for c2 in (0, 2, 6):
+                pos = (Config(sp.states[0], c1), Config(dup.states[0], c2))
+                answer = conv.decide(*pos)
+                assert answer is not None, (seed, c1, c2)
+                if answer:
+                    continue
+                falses += 1
+                for rounds in (24, 96):
+                    verdict = bounded_weak_round_winner(
+                        (sp, dup), pos, rounds=rounds, tau_cap=len(dup.states)
+                    )
+                    if verdict.spoiler_wins:
+                        break
+                assert verdict.spoiler_wins, (seed, c1, c2)
+    assert falses > 0
