@@ -16,7 +16,7 @@ import copy
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from math import ceil
 from operator import mul, sub
 
@@ -391,8 +391,16 @@ class SpoilerAttractor:
     """Bounded Spoiler reachability over the counter grid [0, N]^2 of every
     pair.  A cell's rank is the number of rounds within which Spoiler forces
     Duplicator stuck from it.  Moves leaving the grid count as not yet won,
-    so a listed win is a sound Spoiler-win certificate; the table is
-    complete for positions whose coordinates stay at least `depth` below N.
+    so a listed win is a sound Spoiler-win certificate whatever N is.
+
+    Rounds run on demand: `ensure` runs them until its goal points are won
+    or the requested number has run, and a later, deeper request resumes
+    where the last one stopped.  After `max_rank` rounds the table is
+    complete for wins within `max_rank` rounds from positions whose
+    coordinates stay at least `max_rank` below N.  A round that raises
+    nothing leaves every later round the same, so the table is then final:
+    it is complete for any number of rounds and runs none again.  Only a
+    larger N starts the rows over.
 
     Wins are downward closed in Duplicator's counter (the monotonicity lemma
     of Abdulla-Cerans and Jancar-Moller-Sawa): by induction on r, a win at
@@ -409,10 +417,11 @@ class SpoilerAttractor:
     (m + d2 < f[t][n + d]), which for f >= 0 both read m < f - d2.  Column
     N + 1 stays 0: a move out of the grid is unresolved, yet one whose
     replies all decrement still wins at m = 0.  A round reads only the last
-    round's rows, so a cell's rank is the first round whose f passes it.
+    round's rows, so a cell's rank is the first round whose f passes it,
+    however the rounds were split between calls.
 
-    `won[pair]` lists the ranks of the pair's won cells column by column,
-    cell (n, m) at `_start[pair][n] + m`."""
+    `_ranks[pair][n]` lists the ranks of column n's won cells, cell (n, m)
+    at index m; `won[pair]` lists them all, column by column."""
 
     def __init__(self, product: ProductGraph, scope: tuple[Node, ...] | None = None):
         self.moves = product.moves
@@ -423,81 +432,92 @@ class SpoilerAttractor:
                     raise GeometryError(
                         f"pair {pair}: Duplicator has no {a!r} rules (net not normalized)"
                     )
-        self.won: dict[Node, list[int]] = {}
-        self._start: dict[Node, list[int]] = {}
         self.bound = -1
         self.max_rank = 0
+        self.final = False
+        self._f: dict[Node, list[int]] = {}
+        self._views: dict[Node, dict[int, list[int]]] = {}
+        self._ranks: dict[Node, list[list[int]]] = {}
 
-    def ensure(self, bound: int, max_rank: int) -> None:
-        # bucket both parameters so repeated queries do not thrash recomputes
+    @property
+    def won(self) -> dict[Node, list[int]]:
+        return {pair: list(chain.from_iterable(cols)) for pair, cols in self._ranks.items()}
+
+    def ensure(
+        self, bound: int, max_rank: int, goal: list[tuple[Node, Point]] | None = None
+    ) -> None:
+        """Run rounds on a grid of at least `bound` until `max_rank` have
+        run or, with a goal, every goal point the grid holds is won."""
+        # bucket the bound so that growing queries do not thrash rebuilds
         b = 64
         while b < bound:
             b *= 2
-        r = 64
-        while r < max_rank:
-            r *= 2
-        if b <= self.bound and r <= self.max_rank:
-            return
-        self.bound = max(b, self.bound)
-        self.max_rank = max(r, self.max_rank)
-        self._compute()
+        if b > self.bound:
+            self.bound, self.max_rank, self.final = b, 0, False
+            self._f = {pair: [0] * (b + 1) for pair in self.scope}
+            self._views = {pair: self._reads(row) for pair, row in self._f.items()}
+            self._ranks = {pair: [[] for _ in range(b + 1)] for pair in self.scope}
+        f = self._f
+        pending = None
+        if goal is not None:
+            pending = [(p, n, m) for p, (n, m) in goal if p in f and n <= self.bound]
+        while self.max_rank < max_rank and not self.final:
+            if pending is not None:
+                pending = [(p, n, m) for p, n, m in pending if m >= f[p][n]]
+                if not pending:
+                    break
+            self._round()
 
-    def _compute(self) -> None:
+    def _reads(self, row: list[int]) -> dict[int, list[int]]:
+        # f - d2 per reply change d2, with columns -1 (no win) and N + 1 (0)
         top = self.bound + 1
+        up = [x + 1 if x < top else top for x in row]
+        return {0: [0, *row, 0], -1: [0, *up, 1], 1: [0, *[x - 1 for x in row], -1]}
 
-        def reads(row: list[int]) -> dict[int, list[int]]:
-            # f - d2 per reply change d2, with columns -1 (no win) and N + 1 (0)
-            up = [x + 1 if x < top else top for x in row]
-            return {0: [0, *row, 0], -1: [0, *up, 1], 1: [0, *[x - 1 for x in row], -1]}
-
+    def _round(self) -> None:
+        top, f, views = self.bound + 1, self._f, self._views
+        self.max_rank += 1
+        rank = self.max_rank
         # the scope is successor-closed, so every reply reads one of its rows
-        f = {pair: [0] * top for pair in self.scope}
-        view = {pair: reads(row) for pair, row in f.items()}
-        columns = {pair: [[] for _ in range(top)] for pair in self.scope}
-        rank = 0
-        while rank < self.max_rank:
-            rank += 1
-            rose: dict[Node, list[int]] = {}
-            for pair, old in f.items():
-                best = []
-                for _, d, replies in self.moves[pair]:
-                    rows = [view[t][d2][1 + d : 1 + d + top] for d2, t in replies]
-                    best.append(rows[0] if len(rows) == 1 else map(min, *rows))
-                new = list(map(max, old, *best))
-                if new != old:
-                    rose[pair] = new
-                    # the cells a column gained this round have this rank
-                    gained = map(mul, repeat([rank]), map(sub, new, old))
-                    deque(map(list.extend, columns[pair], gained), 0)
-            if not rose:
-                break
-            for pair, new in rose.items():
-                f[pair] = new
-                view[pair] = reads(new)
-        self.won = {pair: list(chain.from_iterable(cols)) for pair, cols in columns.items()}
-        self._start = {pair: [0, *accumulate(map(len, cols))] for pair, cols in columns.items()}
+        rose: dict[Node, list[int]] = {}
+        for pair, old in f.items():
+            best = []
+            for _, d, replies in self.moves[pair]:
+                rows = [views[t][d2][1 + d : 1 + d + top] for d2, t in replies]
+                best.append(rows[0] if len(rows) == 1 else map(min, *rows))
+            new = list(map(max, old, *best))
+            if new != old:
+                rose[pair] = new
+                # the cells a column gained this round have this rank
+                gained = map(mul, repeat([rank]), map(sub, new, old))
+                deque(map(list.extend, self._ranks[pair], gained), 0)
+        self.final = not rose
+        for pair, new in rose.items():
+            f[pair] = new
+            views[pair] = self._reads(new)
 
     def rank(self, pair: Node, pt: Point) -> int | None:
         n, m = pt
-        if pair not in self.won or n > self.bound:
+        if pair not in self._ranks or n > self.bound:
             return None
-        start = self._start[pair]
-        return self.won[pair][start[n] + m] if start[n] + m < start[n + 1] else None
+        column = self._ranks[pair][n]
+        return column[m] if m < len(column) else None
 
     def unconfirmed(
         self, points: list[tuple[Node, Point]], depth: int
     ) -> list[tuple[Node, Point]]:
         """The points from which no Spoiler win within `depth` rounds is
         known.  Listed wins are valid witnesses whatever the table's bound, so
-        the table grows, to the points' largest coordinate plus `depth`, only
-        while some point is unresolved."""
+        the table grows, to the points' largest coordinate plus `depth`, and
+        runs rounds only while some point is unresolved."""
 
         def unresolved(pts: list[tuple[Node, Point]]) -> list[tuple[Node, Point]]:
             return [(p, pt) for p, pt in pts if (r := self.rank(p, pt)) is None or r > depth]
 
         left = unresolved(points)
         if left:
-            self.ensure(bound=max(max(pt) for _, pt in points) + depth, max_rank=depth)
+            bound = max(max(pt) for _, pt in points) + depth
+            self.ensure(bound=bound, max_rank=depth, goal=left)
             left = unresolved(left)
         return left
 

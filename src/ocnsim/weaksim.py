@@ -481,17 +481,35 @@ def converge_weak(
     on them coincides with weak simulation on the inputs for original state
     pairs.  The iteration is bounded by the pair count plus slack: each
     pair's value leaves omega at most once and otherwise only shrinks.
+
+    A level whose row differs from the last one only on gadgets nobody can
+    enter keeps the last level's engine.  Duplicator's net is the same at
+    every level, and Spoiler reaches the gadget of (q, y) only through the
+    script action of an omega-transition that targets y.  So when the rows
+    agree on every such live (q, y), the game reachable from the original
+    pairs is the same at both levels, state names and move order included,
+    and the next row repeats.  The level's nets are still built and checked.
+    Outside that reachable part, the engine reads its product only through
+    `c_global`, `scc`, `acyc_bound` and the slope game's (K+1)^2 phase
+    guard, and none of these reaches a weak verdict or `check --weak`.
     """
     m_net, m_omega = reduce_weak_to_strong(spoiler_net, duplicator_net, tau)
     grid = [(q, y) for q in m_net.states for y in m_omega.states]
+    live = [(q, t[3]) for t in m_omega.omega_transitions() for q in m_net.states]
     table = SuffTable(tuple(grid))
     row = table.seed()
     approximants: list[ApproximantNets] = []
+    engine = None
     max_levels = len(grid) + 2
     for level in range(1, max_levels + 1):
         nets = build_approximants(m_net, m_omega, row, level)
         check_gadget_invariants(nets, m_net, m_omega)
         approximants.append(nets)
+        if engine is not None:
+            # the rows agree on every live gadget: the last level's game,
+            # so its row repeats
+            table.push(row)
+            return WeakConvergence(engine, level, table, approximants)
         engine = StrongSimEngine(
             nets.spoiler, nets.duplicator, limits=limits, roots=grid
         )
@@ -502,6 +520,8 @@ def converge_weak(
         table.push(new_row)
         if new_row == row:
             return WeakConvergence(engine, level, table, approximants)
+        if any(new_row[pair] != row[pair] for pair in live):
+            engine = None
         row = new_row
     return WeakConvergence(None, max_levels, table, approximants)
 

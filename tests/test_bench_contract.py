@@ -33,10 +33,14 @@ def test_tracer_counts_every_won_attractor_cell(monkeypatch):
         tracer.begin_instance(0)
         eng = StrongSimEngine(NET_A, NET_ACOPY)
         assert eng.decide(("p", 10), ("q", 9)) is False
+        att = eng._attractor
+        first = att.bound, att.max_rank
+        # a deeper query on the same grid resumes the table
+        assert eng.spoiler_rank(("p", "q"), (30, 20), 32) == 21
+        assert att.bound == first[0] and att.max_rank > first[1]
         tracer.end_instance()
     finally:
         tracer.uninstall()
-    att = eng._attractor
     grid = range(att.bound + 1)
     won = sum(att.rank(pair, (n, m)) is not None for pair in att.scope for n in grid for m in grid)
     assert won > 0

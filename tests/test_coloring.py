@@ -89,6 +89,64 @@ def test_attractor_ranks_up_to_the_grid_edge():
             assert att.rank(("s", "d"), (n, m)) == want, (n, m)
 
 
+def _attractor(nets) -> SpoilerAttractor:
+    return SpoilerAttractor(build_product(*normalize_pair(*nets)))
+
+
+def _ranks(att: SpoilerAttractor) -> dict:
+    cells = range(att.bound + 1)
+    return {(p, n, m): att.rank(p, (n, m)) for p in att.scope for n in cells for m in cells}
+
+
+def test_attractor_resumes_where_it_stopped():
+    # one table asked at depths 8, 24 and 64 for goals it wins early stops
+    # and resumes; every rank it lists is the one a single run gives
+    resumed_runs = 0
+    for seed in range(40):
+        nets = random_pair(seed)
+        fresh = _attractor(nets)
+        fresh.ensure(64, 64)
+        want = _ranks(fresh)
+        att = _attractor(nets)
+        ran = []
+        for depth in (8, 24, 64):
+            goal = [(p, (n, m)) for (p, n, m), r in want.items() if r is not None and r <= depth - 2]
+            att.ensure(64, depth, goal)
+            ran.append(att.max_rank)
+            assert att.bound == 64
+            assert att.max_rank <= depth
+        resumed_runs += 0 < ran[0] < ran[1] < 24
+        for key, r in _ranks(att).items():
+            expect = want[key] if want[key] is not None and want[key] <= att.max_rank else None
+            assert r == expect, (seed, key)
+    assert resumed_runs >= 10
+    # Spoiler wins (30, 20) of A against A in round 21: shallower queries
+    # stop before that round and leave it unconfirmed
+    att = _attractor(normalize_pair(NET_A, NET_ACOPY))
+    point = [(("p", "q"), (30, 20))]
+    for depth in (8, 16, 20):
+        assert att.unconfirmed(point, depth) == point
+        assert att.bound == 64 and att.max_rank == depth
+    assert att.unconfirmed(point, 21) == []
+    assert att.rank(("p", "q"), (30, 20)) == 21 and att.max_rank == 21
+
+
+def test_saturated_attractor_runs_no_more_rounds():
+    # a round that raises nothing repeats forever: a table that ran one
+    # answers any deeper request at its bound without running a round
+    for nets in [(NET_A, NET_ACOPY), *map(random_pair, (0, 3, 7, 11))]:
+        att = _attractor(nets)
+        att.ensure(64, 1024)
+        assert att.final
+        depth = att.max_rank
+        ranks = _ranks(att)
+        att.ensure(64, 8 * depth)
+        assert att.max_rank == depth and _ranks(att) == ranks
+        deep = _attractor(nets)
+        deep.ensure(64, 8 * depth)
+        assert deep.final and _ranks(deep) == ranks
+
+
 # ---------------------------------------------------------------------------
 # quotient colorings
 

@@ -222,26 +222,32 @@ def test_decide_weak_matches_bounded_oracle_on_tau_acyclic():
                         )
 
 
+def _tau_cyclic(seed: int) -> tuple[Ocn, Ocn]:
+    """Two-state random nets plus tau edges both ways between distinct
+    Duplicator states, so tau cycles (and pumping) occur."""
+    rng = random.Random(seed)
+    sp, dup0 = random_pair(seed, max_states=2)
+    extra = tuple(
+        (s, "tau", rng.choice((-1, 0, 1)), t)
+        for s in dup0.states
+        for t in dup0.states
+        if s != t and rng.random() < 0.5
+    )
+    dup = Ocn(
+        dup0.name, dup0.states, tuple(sorted({*dup0.actions, "tau"})), dup0.transitions + extra
+    )
+    return sp, dup
+
+
 def test_converged_false_answers_are_spoiler_wins_on_tau_cyclic():
-    # tau edges both ways between distinct Duplicator states, so tau cycles
-    # (and pumping) occur.  A tau cap only weakens Duplicator, so the bounded
-    # oracle can refute no true answer, but every false answer must be a
-    # Spoiler win in it.  Two-state nets keep the approximants small.
+    # A tau cap only weakens Duplicator, so the bounded oracle can refute no
+    # true answer, but every false answer must be a Spoiler win in it.
+    # Two-state nets keep the approximants small.
     from ocnsim.weaksim import converge_weak
 
     falses = 0
     for seed in range(12):
-        rng = random.Random(seed)
-        sp, dup0 = random_pair(seed, max_states=2)
-        extra = tuple(
-            (s, "tau", rng.choice((-1, 0, 1)), t)
-            for s in dup0.states
-            for t in dup0.states
-            if s != t and rng.random() < 0.5
-        )
-        dup = Ocn(
-            dup0.name, dup0.states, tuple(sorted({*dup0.actions, "tau"})), dup0.transitions + extra
-        )
+        sp, dup = _tau_cyclic(seed)
         conv = converge_weak(sp, dup)
         for c1 in (0, 2, 6):
             for c2 in (0, 2, 6):
@@ -259,3 +265,54 @@ def test_converged_false_answers_are_spoiler_wins_on_tau_cyclic():
                         break
                 assert verdict.spoiler_wins, (seed, c1, c2)
     assert falses > 0
+
+
+def test_kept_engine_answers_as_the_last_level(monkeypatch):
+    # converge_weak keeps the last engine when a row changed on no gadget
+    # Spoiler can enter; it must answer every original pair as a fresh engine
+    # on the last level's nets does, and a row change on a live gadget must
+    # still rebuild the engine
+    from ocnsim import weaksim
+
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return StrongSimEngine(*args, **kwargs)
+
+    monkeypatch.setattr(weaksim, "StrongSimEngine", counting)
+    # an omega-transition into y, whose gadget value leaves omega at level 1
+    sp = Ocn("S", ("p",), ("a", "b"), (("p", "a", 0, "p"), ("p", "b", 0, "p")))
+    dup = Ocn(
+        "D", ("q", "y"), ("a", "b", "tau"),
+        (
+            ("q", "tau", 1, "q"),
+            ("q", "a", 0, "q"),
+            ("q", "b", 0, "q"),
+            ("q", "a", 0, "y"),
+            ("y", "a", 0, "y"),
+        ),
+    )
+    cases = [(sp, dup), *map(_tau_cyclic, range(12)), *map(random_pair, range(6))]
+    kept = live_changes = 0
+    for sp, dup in cases:
+        built.clear()
+        conv = weaksim.converge_weak(sp, dup)
+        assert conv.engine is not None and conv.table.converged
+        m_net, m_omega = reduce_weak_to_strong(sp, dup)
+        live = [(q, t[3]) for t in m_omega.omega_transitions() for q in m_net.states]
+        rows = conv.table.rows
+        changes = sum(any(a[p] != b[p] for p in live) for a, b in zip(rows, rows[1:]))
+        assert len(built) == 1 + changes, (sp, dup)
+        kept += conv.levels - len(built)
+        live_changes += changes
+        grid = [(q, y) for q in m_net.states for y in m_omega.states]
+        last = conv.approximants[-1]
+        fresh = StrongSimEngine(last.spoiler, last.duplicator, roots=grid)
+        for q in sp.states:
+            for q2 in dup.states:
+                for n in range(6):
+                    for m in range(6):
+                        answer = conv.decide(Config(q, n), Config(q2, m))
+                        assert answer == fresh.decide((q, n), (q2, m)), (sp, dup, q, q2, n, m)
+    assert kept > 0 and live_changes > 0
