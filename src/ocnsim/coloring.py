@@ -310,10 +310,9 @@ class QuotientColoring:
                         break
         return failures
 
-    def false_points(self) -> tuple[list[tuple[Node, Point]], int]:
-        """The excluded window points and their largest coordinate (0 if none)."""
-        pts = [(pair, pt) for pair, vals in self.values.items() for pt, v in vals.items() if not v]
-        return pts, max((max(pt) for _, pt in pts), default=0)
+    def false_points(self) -> list[tuple[Node, Point]]:
+        """The excluded window points."""
+        return [(pair, pt) for pair, vals in self.values.items() for pt, v in vals.items() if not v]
 
     def to_json_obj(self) -> dict:
         """The exported form: per pair, the true window points split into the
@@ -399,8 +398,9 @@ class SpoilerAttractor:
     complete for wins within `max_rank` rounds from positions whose
     coordinates stay at least `max_rank` below N.  A round that raises
     nothing leaves every later round the same, so the table is then final:
-    it is complete for any number of rounds and runs none again.  Only a
-    larger N starts the rows over.
+    it is complete for any number of rounds and runs none again.  `ensure`
+    runs the grid it is given; `unconfirmed` alone chooses N, and a larger
+    N starts the rows over.
 
     Wins are downward closed in Duplicator's counter (the monotonicity lemma
     of Abdulla-Cerans and Jancar-Moller-Sawa): by induction on r, a win at
@@ -448,22 +448,22 @@ class SpoilerAttractor:
     ) -> None:
         """Run rounds on a grid of at least `bound` until `max_rank` have
         run or, with a goal, every goal point the grid holds is won."""
-        # bucket the bound so that growing queries do not thrash rebuilds
-        b = 64
-        while b < bound:
-            b *= 2
-        if b > self.bound:
-            self.bound, self.max_rank, self.final = b, 0, False
-            self._f = {pair: [0] * (b + 1) for pair in self.scope}
+        if bound > self.bound:
+            self.bound, self.max_rank, self.final = bound, 0, False
+            self._f = {pair: [0] * (bound + 1) for pair in self.scope}
             self._views = {pair: self._reads(row) for pair, row in self._f.items()}
-            self._ranks = {pair: [[] for _ in range(b + 1)] for pair in self.scope}
+            self._ranks = {pair: [[] for _ in range(bound + 1)] for pair in self.scope}
         f = self._f
         pending = None
         if goal is not None:
-            pending = [(p, n, m) for p, (n, m) in goal if p in f and n <= self.bound]
+            # a column's won cells are a prefix: its highest goal cell is won last
+            pending = {}
+            for p, (n, m) in goal:
+                if p in f and n <= self.bound:
+                    pending[p, n] = max(m, pending.get((p, n), m))
         while self.max_rank < max_rank and not self.final:
             if pending is not None:
-                pending = [(p, n, m) for p, n, m in pending if m >= f[p][n]]
+                pending = {(p, n): m for (p, n), m in pending.items() if m >= f[p][n]}
                 if not pending:
                     break
             self._round()
@@ -506,20 +506,32 @@ class SpoilerAttractor:
     def unconfirmed(
         self, points: list[tuple[Node, Point]], depth: int
     ) -> list[tuple[Node, Point]]:
-        """The points from which no Spoiler win within `depth` rounds is
-        known.  Listed wins are valid witnesses whatever the table's bound, so
-        the table grows, to the points' largest coordinate plus `depth`, and
-        runs rounds only while some point is unresolved."""
+        """The points from which Spoiler has no win within `depth` rounds.
+
+        A win listed on any grid is a real win, so the current grid, or the
+        smallest power of two from 64 holding the unresolved points, runs
+        first, toward `depth` rounds with those points as its goal.  N
+        doubles only while the rounds ran out with a point unresolved and N
+        is below the points' largest coordinate plus `depth`: a counter
+        moves one per round at most, so no win within `depth` rounds leaves
+        a grid that large."""
 
         def unresolved(pts: list[tuple[Node, Point]]) -> list[tuple[Node, Point]]:
             return [(p, pt) for p, pt in pts if (r := self.rank(p, pt)) is None or r > depth]
 
         left = unresolved(points)
-        if left:
-            bound = max(max(pt) for _, pt in points) + depth
-            self.ensure(bound=bound, max_rank=depth, goal=left)
+        if not left:
+            return left
+        top = max(max(pt) for _, pt in left)
+        bound = max(self.bound, 64)
+        while bound < top:
+            bound *= 2
+        while True:
+            self.ensure(bound, depth, left)
             left = unresolved(left)
-        return left
+            if not left or bound >= top + depth:
+                return left
+            bound *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -551,9 +563,8 @@ def verify_coloring(
                 report.yes_violations.append((pair, pt))
     report.periodicity_failures.extend(col.certify_periodicity())
     if check_no:
-        false_pts, _ = col.false_points()
         att = SpoilerAttractor(product)
-        report.no_unconfirmed.extend(att.unconfirmed(false_pts, spoiler_depth_cap))
+        report.no_unconfirmed.extend(att.unconfirmed(col.false_points(), spoiler_depth_cap))
     return report
 
 
@@ -713,21 +724,15 @@ class StrongSimEngine:
 
     def _ensure_exact(self, col: QuotientColoring) -> bool:
         """Upgrade a YES-certified coloring to a fully exact description:
-        confirm every excluded window point by bounded Spoiler search and find
-        equal cross-sections, so wrap answers are valid for both colors."""
+        confirm every excluded window point by a Spoiler win within the depth
+        cap and find equal cross-sections, so wrap answers are valid for both
+        colors."""
         if col.exact:
             return True
         if not col.certified_yes:
             return False
-        false_pts, bound = col.false_points()
-        # window ranks scale with the window, so escalate gently before
-        # spending the full configured cap
-        for attempt in (2 * bound + 64, 8 * bound + 256, self.limits.spoiler_depth_cap):
-            attempt = min(attempt, self.limits.spoiler_depth_cap)
-            if not self._attractor.unconfirmed(false_pts, attempt):
-                break
-            if attempt >= self.limits.spoiler_depth_cap:
-                return False
+        if self._attractor.unconfirmed(col.false_points(), self.limits.spoiler_depth_cap):
+            return False
         for pair in col.values:
             if any(col.values[pair].values()) and find_equal_cross_sections(col, pair) is None:
                 return False

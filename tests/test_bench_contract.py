@@ -38,6 +38,9 @@ def test_tracer_counts_every_won_attractor_cell(monkeypatch):
         # a deeper query on the same grid resumes the table
         assert eng.spoiler_rank(("p", "q"), (30, 20), 32) == 21
         assert att.bound == first[0] and att.max_rank > first[1]
+        # no win from (33, 40): the table doubles its grid and starts over
+        assert eng.spoiler_rank(("p", "q"), (33, 40), 64) is None
+        assert att.bound >= 97
         tracer.end_instance()
     finally:
         tracer.uninstall()

@@ -75,13 +75,18 @@ def test_spoiler_bounded_win_matches_oracle():
             assert spoiler_bounded_win(nets, pos, d) == bounded_round_winner(nets, pos, d).spoiler_wins
 
 
+# Spoiler climbs while Duplicator falls: from (n, m) Duplicator is stuck
+# after m + 1 rounds at (n + m, 0)
+CLIMB = (
+    Ocn("S", ("s",), ("a",), (("s", "a", 1, "s"),)),
+    Ocn("D", ("d",), ("a",), (("d", "a", -1, "d"),)),
+)
+
+
 def test_attractor_ranks_up_to_the_grid_edge():
-    # Spoiler climbs while Duplicator falls: from (n, m) Duplicator is stuck
-    # after m + 1 rounds at (n + m, 0), whose last move leaves the grid when
-    # n + m = bound and still wins, since its only reply decrements
-    sp = Ocn("S", ("s",), ("a",), (("s", "a", 1, "s"),))
-    dup = Ocn("D", ("d",), ("a",), (("d", "a", -1, "d"),))
-    att = SpoilerAttractor(build_product(*normalize_pair(sp, dup)))
+    # the last move of CLIMB's win leaves the grid when n + m = bound and
+    # still wins, since Duplicator's only reply decrements
+    att = _attractor(CLIMB)
     att.ensure(64, 64)
     for n in range(att.bound + 2):
         for m in range(att.bound + 2):
@@ -145,6 +150,58 @@ def test_saturated_attractor_runs_no_more_rounds():
         deep = _attractor(nets)
         deep.ensure(64, 8 * depth)
         assert deep.final and _ranks(deep) == ranks
+
+
+def test_unconfirmed_runs_its_grid_before_growing_it():
+    # a 64-grid stopped after 6 rounds still wins (40, 33) in round 34, so a
+    # depth-64 query runs it on instead of starting over on a larger grid;
+    # (33, 40) is no win, so it is reported only from a grid of 33 + 64
+    att = _attractor((NET_A, NET_ACOPY))
+    assert att.unconfirmed([(("p", "q"), (10, 5))], 32) == []
+    assert att.bound == 64 and att.max_rank == 6
+    assert att.unconfirmed([(("p", "q"), (40, 33))], 64) == []
+    assert att.bound == 64 and att.rank(("p", "q"), (40, 33)) == 34
+    far = [(("p", "q"), (33, 40))]
+    assert att.unconfirmed(far, 64) == far
+    assert att.bound >= 97
+
+
+def test_unconfirmed_matches_a_grid_sized_for_its_points():
+    # one table per net pair answers a run of queries, growing its grid on
+    # demand; each answer must be that of a fresh table run `depth` rounds
+    # on a grid of at least the points' largest coordinate plus `depth`
+    rng = random.Random(5)
+    runs = []
+    for seed in range(20):
+        nets = random_pair(seed)
+        scope = _attractor(nets).scope
+        queries = [
+            (
+                rng.choice((8, 24, 60)),
+                [(rng.choice(scope), (rng.randrange(60), rng.randrange(60))) for _ in range(4)],
+            )
+            for _ in range(6)
+        ]
+        runs.append((nets, queries))
+    # Spoiler wins (31, 34) of CLIMB in round 35, but on no grid below 65
+    runs.append((CLIMB, [(60, [(("s", "d"), (31, 34))])]))
+    grown = 0
+    for nets, queries in runs:
+        att = _attractor(nets)
+        fresh: dict[tuple[int, int], SpoilerAttractor] = {}
+        for depth, points in queries:
+            bound = 64
+            while bound < max(max(pt) for _, pt in points) + depth:
+                bound *= 2
+            if (bound, depth) not in fresh:
+                fresh[bound, depth] = _attractor(nets)
+                fresh[bound, depth].ensure(bound, depth)
+            ref = fresh[bound, depth]
+            want = [(p, pt) for p, pt in points if (r := ref.rank(p, pt)) is None or r > depth]
+            before = att.bound
+            assert att.unconfirmed(points, depth) == want, (nets, points, depth)
+            grown += att.bound > max(before, 64)
+    assert grown >= 10
 
 
 # ---------------------------------------------------------------------------
