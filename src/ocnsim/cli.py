@@ -115,7 +115,7 @@ def main() -> None:
               show_default=True, help="largest window rectangle")
 @click.option(
     "--dump-approximants", "dump_dir", type=click.Path(), default=None,
-    help="write each weak approximant net pair into this directory",
+    help="write each weak level's approximant net pair into this directory",
 )
 @click.argument("net_a")
 @click.argument("net_b")
@@ -156,7 +156,7 @@ def check(mode, tau, as_json, max_depth, max_period, max_rect, dump_dir,
     except (RecursionError, MemoryError):
         answer = None  # out of stack or memory: a resource cap, not a verdict
     if engine is not None:
-        belts_used = len(engine.scope)
+        belts_used = engine.product.K
         col = next((c for c in engine.colorings.values() if c.certified_yes), None)
         if col is not None:
             geo = next(iter(col.geometry.values()))

@@ -388,9 +388,10 @@ def _crossing_horizon(bbox: tuple[Point, Point], step: Point, og: PairGeometry) 
 
 class SpoilerAttractor:
     """Bounded Spoiler reachability over the counter grid [0, N]^2 of every
-    pair.  A cell's rank is the number of rounds within which Spoiler forces
-    Duplicator stuck from it.  Moves leaving the grid count as not yet won,
-    so a listed win is a sound Spoiler-win certificate whatever N is.
+    pair of a successor-closed product, such as a rooted one.  A cell's rank
+    is the number of rounds within which Spoiler forces Duplicator stuck
+    from it.  Moves leaving the grid count as not yet won, so a listed win
+    is a sound Spoiler-win certificate whatever N is.
 
     Rounds run on demand: `ensure` runs them until its goal points are won
     or the requested number has run, and a later, deeper request resumes
@@ -423,10 +424,9 @@ class SpoilerAttractor:
     `_ranks[pair][n]` lists the ranks of column n's won cells, cell (n, m)
     at index m; `won[pair]` lists them all, column by column."""
 
-    def __init__(self, product: ProductGraph, scope: tuple[Node, ...] | None = None):
+    def __init__(self, product: ProductGraph):
         self.moves = product.moves
-        self.scope = product.nodes if scope is None else scope
-        for pair in self.scope:
+        for pair in self.moves:
             for a, _, replies in self.moves[pair]:
                 if not replies:
                     raise GeometryError(
@@ -450,9 +450,9 @@ class SpoilerAttractor:
         run or, with a goal, every goal point the grid holds is won."""
         if bound > self.bound:
             self.bound, self.max_rank, self.final = bound, 0, False
-            self._f = {pair: [0] * (bound + 1) for pair in self.scope}
+            self._f = {pair: [0] * (bound + 1) for pair in self.moves}
             self._views = {pair: self._reads(row) for pair, row in self._f.items()}
-            self._ranks = {pair: [[] for _ in range(bound + 1)] for pair in self.scope}
+            self._ranks = {pair: [[] for _ in range(bound + 1)] for pair in self.moves}
         f = self._f
         pending = None
         if goal is not None:
@@ -478,7 +478,7 @@ class SpoilerAttractor:
         top, f, views = self.bound + 1, self._f, self._views
         self.max_rank += 1
         rank = self.max_rank
-        # the scope is successor-closed, so every reply reads one of its rows
+        # the product is successor-closed, so every reply reads one of its rows
         rose: dict[Node, list[int]] = {}
         for pair, old in f.items():
             best = []
@@ -632,11 +632,11 @@ class EngineLimits:
 class StrongSimEngine:
     """Shared state for deciding strong simulation between one fixed net pair.
 
-    Construction normalizes the nets, builds the product, solves the Slope
-    Game at every representative slope for every pair, and fixes each pair's
-    boundary slope and certified belt margin.  Point queries then run the
-    escalation loop over quotient colorings and bounded Spoiler search,
-    caching everything across queries.
+    Construction normalizes the nets, builds the product (with roots, only
+    the pairs they reach), solves the Slope Game at every representative
+    slope for every pair, and fixes each pair's boundary slope and certified
+    belt margin.  Point queries then run the escalation loop over quotient
+    colorings and bounded Spoiler search, caching everything across queries.
     """
 
     def __init__(
@@ -648,16 +648,14 @@ class StrongSimEngine:
     ):
         self.limits = limits or EngineLimits()
         self.spoiler_net, self.duplicator_net = normalize_pair(spoiler_net, duplicator_net)
-        self.product = build_product(self.spoiler_net, self.duplicator_net)
+        self.product = build_product(self.spoiler_net, self.duplicator_net, roots)
         self.scc, self.acyc_bound = graph_parameters(self.product)
         self.c_global = belt_constant(self.product)
-        self.scope = self._closure(roots)
-        self.vectors = cycle_effect_candidates(self.product, self.scope)
+        self.vectors = cycle_effect_candidates(self.product)
         self.reps = interval_representatives(self.vectors)
         self.solver = SlopeGameSolver(self.product)
-        mk = len(self.scope)
         self.scans: dict[Node, PairScan] = {
-            v: scan_pair(v, self.reps, self.solver, mk) for v in self.scope
+            v: scan_pair(v, self.reps, self.solver) for v in self.product.nodes
         }
         self.c_pair = {
             node: max(scan.c_above, scan.c_below) for node, scan in self.scans.items()
@@ -678,22 +676,7 @@ class StrongSimEngine:
             for i in range(MAX_ROUNDS)
         )
         self.colorings: dict[tuple[int, int], QuotientColoring] = {}
-        self._attractor = SpoilerAttractor(self.product, self.scope)
-
-    def _closure(self, roots: list[Node] | None) -> tuple[Node, ...]:
-        """Pairs reachable from the roots in the product graph; queries and
-        colorings are restricted to this successor-closed set."""
-        if roots is None:
-            return self.product.nodes
-        seen = set()
-        todo = [r for r in roots if r in self.product.moves]
-        while todo:
-            v = todo.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            todo.extend(w for w in self.product.successors[v] if w not in seen)
-        return tuple(v for v in self.product.nodes if v in seen)
+        self._attractor = SpoilerAttractor(self.product)
 
     # -- geometry ------------------------------------------------------------
 
@@ -757,10 +740,13 @@ class StrongSimEngine:
             col = self.coloring(j, k)
             if col.certified_yes and col.lookup(pair, pt):
                 return True
+            # beyond the window an exact coloring answers without a search
+            # as deep as the counter
+            outside = not col.geometry[pair].in_window(pt)
+            if (outside or not attractor_feasible) and self._ensure_exact(col):
+                return col.lookup(pair, pt)
             if attractor_feasible and self.spoiler_rank(pair, pt, depth) is not None:
                 return False
-            if not attractor_feasible and self._ensure_exact(col):
-                return col.lookup(pair, pt)
         # every round's coloring is built by now, so this builds nothing
         col = self.certified_coloring()
         if col is not None and self._ensure_exact(col):

@@ -189,13 +189,32 @@ class ProductGraph:
         }
 
 
-def build_product(spoiler_net: Ocn, duplicator_net: Ocn) -> ProductGraph:
-    """Build the product control graph of two nets over a shared alphabet."""
+def build_product(
+    spoiler_net: Ocn, duplicator_net: Ocn, roots: Iterable[Node] | None = None
+) -> ProductGraph:
+    """Build the product control graph of two nets over a shared alphabet.
+
+    With roots, only the pairs they reach are built, in the full product's
+    order; the result is successor-closed."""
     if set(spoiler_net.actions) != set(duplicator_net.actions):
         raise NetError(
             f"alphabet mismatch between {spoiler_net.name} and {duplicator_net.name}"
         )
     nodes = tuple((p, q) for p in spoiler_net.states for q in duplicator_net.states)
+    if roots is not None:
+        replies = duplicator_net.out_by_action
+        seen: set[Node] = set()
+        todo = list(roots)
+        while todo:
+            v = todo.pop()
+            if v not in seen:
+                seen.add(v)
+                todo.extend(
+                    (p, p2)
+                    for _, a, _, p in spoiler_net.out[v[0]]
+                    for *_, p2 in replies.get((v[1], a), ())
+                )
+        nodes = tuple(v for v in nodes if v in seen)
     return ProductGraph(nodes, spoiler_net, duplicator_net)
 
 

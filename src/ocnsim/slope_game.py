@@ -161,19 +161,15 @@ class SlopeGameSolver:
         return SlopeGameResult(SPOILER, worst_sp)
 
 
-def cycle_effect_candidates(g: ProductGraph, scope: tuple[Node, ...]) -> set[Vec2]:
+def cycle_effect_candidates(g: ProductGraph) -> set[Vec2]:
     """Effects of all closed walks of length at most K, non-zero and closed
-    under negation; K is the number of in-scope product nodes.
+    under negation; K is the number of product nodes.
 
     This is a superset of the simple-cycle effects; refining the vector set
     only refines the angular equivalence classes, which keeps the boundary
     scan sound.  Effects stay within [-K, K]^2 by construction.
     """
-    in_scope = set(scope)
-    succ = {
-        v: tuple(w for w in g.successors.get(v, ()) if w in in_scope) for v in scope
-    }
-    sccs = _tarjan_sccs(scope, succ)
+    sccs = _tarjan_sccs(g.nodes, g.successors)
     comp_of = {v: i for i, scc in enumerate(sccs) for v in scc}
     effects: set[Vec2] = set()
     for scc in sccs:
@@ -220,14 +216,14 @@ class PairScan:
     c_below: int  # K * depth of the last Spoiler-won representative
 
 
-def scan_pair(node: Node, reps: list[Slope], solver: SlopeGameSolver, margin_k: int) -> PairScan:
+def scan_pair(node: Node, reps: list[Slope], solver: SlopeGameSolver) -> PairScan:
     """Solve the Slope Game at every representative and locate the boundary.
 
     Spoiler-won slopes form a prefix of the steepness-ordered scan and
     Duplicator-won slopes a suffix (monotonicity); the boundary is the
     infimum of the Duplicator-won region, reported as the class boundary
     below the first Duplicator win.  Margins multiply segment depths by
-    margin_k, the number of product states the game can actually reach.
+    the solver's product size K.
     """
     outcomes = []
     for s in reps:
@@ -237,7 +233,7 @@ def scan_pair(node: Node, reps: list[Slope], solver: SlopeGameSolver, margin_k: 
         if earlier.winner == DUPLICATOR and later.winner == SPOILER:
             raise RuntimeError(f"slope-game monotonicity violated at {node}")
     first_dup = next((i for i, o in enumerate(outcomes) if o.winner == DUPLICATOR), None)
-    K = margin_k
+    K = solver.product.K
     if first_dup is None:
         boundary = Slope(0, 1)
         c_below = K * outcomes[-1].segment_depth

@@ -296,6 +296,14 @@ class ApproximantNets:
     suff_row: dict[Node, int | None]
 
 
+def live_gadgets(m_net: Ocn, m_omega: OmegaNet) -> list[Node]:
+    """The test gadgets Spoiler can enter, in grid order: (her state, the
+    target of an omega-transition), since a script action of an
+    omega-transition into y is the only way into the gadget of (q, y)."""
+    targets = {t[3] for t in m_omega.omega_transitions()}
+    return [(q, y) for q in m_net.states for y in m_omega.states if y in targets]
+
+
 def build_approximants(
     m_net: Ocn, m_omega: OmegaNet, suff_row: dict[Node, int | None], level: int
 ) -> ApproximantNets:
@@ -308,7 +316,8 @@ def build_approximants(
     target).  A finite sufficient value s yields a chain of s decrementing
     steps to a winning action Duplicator cannot match, so Spoiler wins the
     subgame exactly when her counter is at least s; an infinite value yields
-    a bare loop she can never leave.
+    a bare loop she can never leave.  Only the gadgets a script action
+    enters are built.
     """
     omega_ts = m_omega.omega_transitions()
     script_actions = {t: f"__g{i}" for i, t in enumerate(omega_ts)}
@@ -347,8 +356,8 @@ def build_approximants(
             (s, ga, 0, UNIVERSAL) for ga in script_actions.values()
         )
 
-    # Spoiler's side: her net plus one gadget per (state, omega-target) pair;
-    # gadget names are index-based so state names cannot collide
+    # Spoiler's side: her net plus one gadget per live (state, omega-target)
+    # pair; gadget names are index-based so state names cannot collide
     sp_states = list(m_net.states)
     sp_trans: list[Transition] = list(m_net.transitions)
     gadget_sizes: dict[Node, int] = {}
@@ -373,11 +382,9 @@ def build_approximants(
             gadget_sizes[(q, y)] = suff + 2
         return entry
 
-    entries: dict[Node, str] = {}
-    for idx, (q, y) in enumerate(
-        (q, y) for q in m_net.states for y in m_omega.states
-    ):
-        entries[(q, y)] = gadget(q, y, idx)
+    entries = {
+        (q, y): gadget(q, y, idx) for idx, (q, y) in enumerate(live_gadgets(m_net, m_omega))
+    }
     for t in omega_ts:
         y = t[3]
         for q in m_net.states:
@@ -394,9 +401,9 @@ def build_approximants(
 
 
 def check_gadget_invariants(nets: ApproximantNets, m_net: Ocn, m_omega: OmegaNet) -> None:
-    """Structural sanity of a built approximant: gadget count and sizes, and
-    no transition leads from a gadget back into the original net."""
-    expected = len(m_net.states) * len(m_omega.states)
+    """Structural sanity of a built approximant: one gadget per live pair,
+    their sizes, and no transition from a gadget back into the original net."""
+    expected = len(live_gadgets(m_net, m_omega))
     if len(nets.gadget_sizes) != expected:
         raise AssertionError(f"expected {expected} gadgets, built {len(nets.gadget_sizes)}")
     for pair, size in nets.gadget_sizes.items():
@@ -482,46 +489,29 @@ def converge_weak(
     pairs.  The iteration is bounded by the pair count plus slack: each
     pair's value leaves omega at most once and otherwise only shrinks.
 
-    A level whose row differs from the last one only on gadgets nobody can
-    enter keeps the last level's engine.  Duplicator's net is the same at
-    every level, and Spoiler reaches the gadget of (q, y) only through the
-    script action of an omega-transition that targets y.  So when the rows
-    agree on every such live (q, y), the game reachable from the original
-    pairs is the same at both levels, state names and move order included,
-    and the next row repeats.  The level's nets are still built and checked.
-    Outside that reachable part, the engine reads its product only through
-    `c_global`, `scc`, `acyc_bound` and the slope game's (K+1)^2 phase
-    guard, and none of these reaches a weak verdict or `check --weak`.
+    Each level's engine is rooted at the original pairs, and sufficient
+    values are computed only for the live gadgets; every other entry of
+    the grid stays omega, as no play from an original pair reads it.
     """
     m_net, m_omega = reduce_weak_to_strong(spoiler_net, duplicator_net, tau)
     grid = [(q, y) for q in m_net.states for y in m_omega.states]
-    live = [(q, t[3]) for t in m_omega.omega_transitions() for q in m_net.states]
+    live = live_gadgets(m_net, m_omega)
     table = SuffTable(tuple(grid))
     row = table.seed()
     approximants: list[ApproximantNets] = []
-    engine = None
     max_levels = len(grid) + 2
     for level in range(1, max_levels + 1):
         nets = build_approximants(m_net, m_omega, row, level)
         check_gadget_invariants(nets, m_net, m_omega)
         approximants.append(nets)
-        if engine is not None:
-            # the rows agree on every live gadget: the last level's game,
-            # so its row repeats
-            table.push(row)
-            return WeakConvergence(engine, level, table, approximants)
-        engine = StrongSimEngine(
-            nets.spoiler, nets.duplicator, limits=limits, roots=grid
-        )
+        engine = StrongSimEngine(nets.spoiler, nets.duplicator, limits=limits, roots=grid)
         try:
-            new_row = {pair: compute_suff(engine, pair) for pair in grid}
+            new_row = {**row, **{pair: compute_suff(engine, pair) for pair in live}}
         except CapsExceeded:
             return WeakConvergence(None, level, table, approximants)
         table.push(new_row)
         if new_row == row:
             return WeakConvergence(engine, level, table, approximants)
-        if any(new_row[pair] != row[pair] for pair in live):
-            engine = None
         row = new_row
     return WeakConvergence(None, max_levels, table, approximants)
 

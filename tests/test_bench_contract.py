@@ -45,6 +45,6 @@ def test_tracer_counts_every_won_attractor_cell(monkeypatch):
     finally:
         tracer.uninstall()
     grid = range(att.bound + 1)
-    won = sum(att.rank(pair, (n, m)) is not None for pair in att.scope for n in grid for m in grid)
+    won = sum(att.rank(pair, (n, m)) is not None for pair in att.moves for n in grid for m in grid)
     assert won > 0
     assert tracer.counts["attractor.cells"] == won

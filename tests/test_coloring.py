@@ -100,7 +100,7 @@ def _attractor(nets) -> SpoilerAttractor:
 
 def _ranks(att: SpoilerAttractor) -> dict:
     cells = range(att.bound + 1)
-    return {(p, n, m): att.rank(p, (n, m)) for p in att.scope for n in cells for m in cells}
+    return {(p, n, m): att.rank(p, (n, m)) for p in att.moves for n in cells for m in cells}
 
 
 def test_attractor_resumes_where_it_stopped():
@@ -174,11 +174,11 @@ def test_unconfirmed_matches_a_grid_sized_for_its_points():
     runs = []
     for seed in range(20):
         nets = random_pair(seed)
-        scope = _attractor(nets).scope
+        nodes = build_product(*normalize_pair(*nets)).nodes
         queries = [
             (
                 rng.choice((8, 24, 60)),
-                [(rng.choice(scope), (rng.randrange(60), rng.randrange(60))) for _ in range(4)],
+                [(rng.choice(nodes), (rng.randrange(60), rng.randrange(60))) for _ in range(4)],
             )
             for _ in range(6)
         ]
@@ -435,7 +435,7 @@ def test_trivial_zone_correctness():
     for seed in range(10):
         n, m = random_pair(seed)
         eng = _engine(n, m)
-        for pair in eng.scope:
+        for pair in eng.product.nodes:
             scan = eng.scans[pair]
             c = eng.c_pair[pair]
             for _ in range(4):
@@ -453,6 +453,14 @@ def test_decide_strong_huge_counters():
     assert eng.decide(("p", big), ("q", big)) is True
     assert eng.decide(("p", big + 1), ("q", big)) is False
     assert eng.decide(("p", big), ("q", 3)) is False
+
+
+def test_belt_point_beyond_the_window_needs_no_deep_attractor():
+    # p:5001 q:5000 lies in the belt far beyond every window: the exact
+    # coloring answers it, so the attractor grid stays near the window
+    eng = _engine(NET_A, NET_ACOPY)
+    assert eng.decide(("p", 5001), ("q", 5000)) is False
+    assert eng._attractor.bound <= 128
 
 
 def test_periodic_expansion_matches_recomputation():

@@ -9,6 +9,8 @@ from ocnsim.weaksim import (
     OmegaNet,
     build_approximants,
     check_gadget_invariants,
+    compute_suff,
+    converge_weak,
     decide_weak,
     reduce_weak_to_strong,
     tau_profiles,
@@ -91,12 +93,17 @@ def test_reduce_negative_chain_uses_one_intermediate():
 
 
 def test_build_approximants_gadget_shapes():
-    dup = Ocn("D", ("q",), ("a", "tau"), (("q", "tau", 1, "q"), ("q", "a", -1, "q")))
+    # no omega-transition leads into r, so only the gadget of (p, q) is built
+    dup = Ocn(
+        "D", ("q", "r"), ("a", "tau"),
+        (("q", "tau", 1, "q"), ("q", "a", -1, "q"), ("r", "a", 0, "q")),
+    )
     m_net, m_omega = reduce_weak_to_strong(NET_A, dup, tau="tau")
     grid = [(q, y) for q in m_net.states for y in m_omega.states]
     all_omega = {p: None for p in grid}
     nets1 = build_approximants(m_net, m_omega, all_omega, level=1)
     check_gadget_invariants(nets1, m_net, m_omega)
+    assert ("p", "r") in grid and list(nets1.gadget_sizes) == [("p", "q")]
     assert all(size == 1 for size in nets1.gadget_sizes.values())
     assert nets1.duplicator.states == build_approximants(
         m_net, m_omega, dict.fromkeys(grid, 3), level=2
@@ -110,8 +117,6 @@ def test_build_approximants_gadget_shapes():
 
 
 def test_decide_weak_without_tau_equals_strong():
-    from ocnsim.weaksim import converge_weak
-
     for seed in range(5):
         n, m = random_pair(seed)
         e_strong = StrongSimEngine(n, m)
@@ -178,8 +183,6 @@ def test_suff_table_invariants_on_weak_runs():
 def test_decide_weak_matches_bounded_oracle_on_tau_acyclic():
     # tau-acyclic Duplicator nets: the bounded weak oracle is conclusive in
     # both directions once the cap covers the tau diameter
-    from ocnsim.weaksim import converge_weak
-
     rng = random.Random(5)
     for seed in range(10):
         sp, dup0 = random_pair(seed)
@@ -243,12 +246,13 @@ def test_converged_false_answers_are_spoiler_wins_on_tau_cyclic():
     # A tau cap only weakens Duplicator, so the bounded oracle can refute no
     # true answer, but every false answer must be a Spoiler win in it.
     # Two-state nets keep the approximants small.
-    from ocnsim.weaksim import converge_weak
-
     falses = 0
     for seed in range(12):
         sp, dup = _tau_cyclic(seed)
         conv = converge_weak(sp, dup)
+        eng = conv.engine
+        # the slope game's phase guard reads the rooted product's K
+        assert eng.solver.max_phase_depth <= (eng.product.K + 1) ** 2, seed
         for c1 in (0, 2, 6):
             for c2 in (0, 2, 6):
                 pos = (Config(sp.states[0], c1), Config(dup.states[0], c2))
@@ -267,21 +271,8 @@ def test_converged_false_answers_are_spoiler_wins_on_tau_cyclic():
     assert falses > 0
 
 
-def test_kept_engine_answers_as_the_last_level(monkeypatch):
-    # converge_weak keeps the last engine when a row changed on no gadget
-    # Spoiler can enter; it must answer every original pair as a fresh engine
-    # on the last level's nets does, and a row change on a live gadget must
-    # still rebuild the engine
-    from ocnsim import weaksim
-
-    built = []
-
-    def counting(*args, **kwargs):
-        built.append(args)
-        return StrongSimEngine(*args, **kwargs)
-
-    monkeypatch.setattr(weaksim, "StrongSimEngine", counting)
-    # an omega-transition into y, whose gadget value leaves omega at level 1
+def _omega_into_y() -> tuple[Ocn, Ocn]:
+    """An omega-transition into y, whose gadget value leaves omega at level 1."""
     sp = Ocn("S", ("p",), ("a", "b"), (("p", "a", 0, "p"), ("p", "b", 0, "p")))
     dup = Ocn(
         "D", ("q", "y"), ("a", "b", "tau"),
@@ -293,8 +284,24 @@ def test_kept_engine_answers_as_the_last_level(monkeypatch):
             ("y", "a", 0, "y"),
         ),
     )
-    cases = [(sp, dup), *map(_tau_cyclic, range(12)), *map(random_pair, range(6))]
-    kept = live_changes = 0
+    return sp, dup
+
+
+def test_one_engine_per_level_answers_as_the_last_level(monkeypatch):
+    # converge_weak builds one engine per level and stops when the live
+    # gadgets' values repeat; the converged engine must answer every
+    # original pair as a fresh engine on the last level's nets does
+    from ocnsim import weaksim
+
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return StrongSimEngine(*args, **kwargs)
+
+    monkeypatch.setattr(weaksim, "StrongSimEngine", counting)
+    cases = [_omega_into_y(), *map(_tau_cyclic, range(12)), *map(random_pair, range(6))]
+    live_changes = 0
     for sp, dup in cases:
         built.clear()
         conv = weaksim.converge_weak(sp, dup)
@@ -303,8 +310,7 @@ def test_kept_engine_answers_as_the_last_level(monkeypatch):
         live = [(q, t[3]) for t in m_omega.omega_transitions() for q in m_net.states]
         rows = conv.table.rows
         changes = sum(any(a[p] != b[p] for p in live) for a, b in zip(rows, rows[1:]))
-        assert len(built) == 1 + changes, (sp, dup)
-        kept += conv.levels - len(built)
+        assert len(built) == 1 + changes == conv.levels, (sp, dup)
         live_changes += changes
         grid = [(q, y) for q in m_net.states for y in m_omega.states]
         last = conv.approximants[-1]
@@ -315,4 +321,43 @@ def test_kept_engine_answers_as_the_last_level(monkeypatch):
                     for m in range(6):
                         answer = conv.decide(Config(q, n), Config(q2, m))
                         assert answer == fresh.decide((q, n), (q2, m)), (sp, dup, q, q2, n, m)
-    assert kept > 0 and live_changes > 0
+    assert live_changes > 0
+
+
+def test_tau_acyclic_duplicator_converges_at_level_one(monkeypatch):
+    # without an omega-transition no gadget can be entered, so the first
+    # level's row repeats the seed without a single sufficient value
+    from ocnsim import weaksim
+
+    calls = []
+
+    def counting(engine, pair):
+        calls.append(pair)
+        return compute_suff(engine, pair)
+
+    monkeypatch.setattr(weaksim, "compute_suff", counting)
+    # Spoiler wins from (p, s) at every counter: a vertical belt, whose
+    # sufficient value would be finite if its gadget were valued
+    sp = Ocn("S", ("p",), ("a",), (("p", "a", 0, "p"),))
+    dup = Ocn(
+        "D", ("q", "r", "s"), ("a", "tau"),
+        (("q", "tau", -1, "r"), ("r", "a", 0, "r"), ("q", "a", -1, "q"), ("s", "a", -1, "s")),
+    )
+    conv = weaksim.converge_weak(sp, dup)
+    assert conv.levels == 1 and conv.table.converged and calls == []
+    assert conv.decide(Config("p", 3), Config("q", 0)) is False
+    assert conv.decide(Config("p", 3), Config("q", 1)) is True
+    assert conv.decide(Config("p", 0), Config("s", 9)) is False
+
+
+def test_approximants_hold_only_enterable_gadgets():
+    # every gadget state of every level lies on the chain of a gadget whose
+    # entry some script action reaches
+    for nets_pair in [_omega_into_y(), *map(_tau_cyclic, range(12))]:
+        conv = converge_weak(*nets_pair)
+        for nets in conv.approximants:
+            sp = nets.spoiler
+            entered = {dst for _, act, _, dst in sp.transitions if act.startswith("__g")}
+            gadgets = [s for s in sp.states if s.startswith("__G")]
+            assert {s.split(".")[0] for s in gadgets} == {e.split(".")[0] for e in entered}
+            assert len(nets.gadget_sizes) == len(entered), nets_pair
