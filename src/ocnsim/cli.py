@@ -3,20 +3,22 @@
 Exit codes: 0 = simulated, 1 = not simulated, 2 = undecided at the resource
 caps (running out of recursion depth or memory counts as a cap), 64 = input
 parse error or command line usage error (EX_USAGE), 70 = internal error.
-Every command keeps to them: a bad option value or a missing argument exits
-64, running out of recursion depth or memory exits 2 (`check` prints its
-normal `undecided` verdict, the others one line on stderr), and any other
-internal exception prints one line on stderr and exits 70.
+`main` owns them. The parser exits 64 on a bad option value, an unknown option
+or a missing argument. Running out of recursion depth or memory exits 2
+(`check` prints its normal `undecided` verdict, the others one line on
+stderr), and any other exception escaping a command prints one line on stderr
+and exits 70. An interrupt is not caught: it ends the process by SIGINT, never
+with a verdict's code.
 """
 
 from __future__ import annotations
 
+import argparse
+import codecs
 import json
 import sys
 import time
 from pathlib import Path
-
-import click
 
 from .coloring import EngineLimits, StrongSimEngine
 from .core import Config, Ocn, ParseError, format_net, parse_net
@@ -27,20 +29,30 @@ EXIT_UNDECIDED = 2
 EXIT_PARSE = 64
 EXIT_INTERNAL = 70
 
-NATURAL = click.IntRange(min=0)
-POSITIVE = click.IntRange(min=1)
+
+def _at_least(low: int):
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is less than {low}")
+        return int(text)
+
+    return integer
+
+
+NATURAL = _at_least(0)
+POSITIVE = _at_least(1)
 
 
 def _load_net(path: str) -> Ocn:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        click.echo(f"{path}: {exc}", err=True)
+        print(f"{path}: {exc}", file=sys.stderr)
         sys.exit(EXIT_PARSE)
     try:
         return parse_net(text, name_hint=Path(path).stem)
     except ParseError as exc:
-        click.echo(f"{path}: {exc}", err=True)
+        print(f"{path}: {exc}", file=sys.stderr)
         sys.exit(EXIT_PARSE)
 
 
@@ -48,79 +60,23 @@ def _parse_config(literal: str, net: Ocn, path: str) -> Config:
     # state names may contain colons; the counter follows the last one
     state, sep, counter = literal.rpartition(":")
     if not sep or not (counter.isascii() and counter.isdigit()):
-        click.echo(f"bad configuration literal {literal!r}, want state:counter", err=True)
+        print(f"bad configuration literal {literal!r}, want state:counter", file=sys.stderr)
         sys.exit(EXIT_PARSE)
     if state not in net.states:
-        click.echo(f"state {state!r} not in net {net.name} ({path})", err=True)
+        print(f"state {state!r} not in net {net.name} ({path})", file=sys.stderr)
         sys.exit(EXIT_PARSE)
     try:
         value = int(counter)
     except ValueError:
-        click.echo(
+        print(
             f"counter of state {state!r} has {len(counter)} digits, "
             f"at most {sys.get_int_max_str_digits()} allowed",
-            err=True,
+            file=sys.stderr,
         )
         sys.exit(EXIT_PARSE)
     return Config(state, value)
 
 
-def _exit_with(code: int, label: str, exc: BaseException) -> None:
-    message = f"{label}: {type(exc).__name__}: {exc}"
-    click.echo(" ".join(message.split()), err=True)
-    sys.exit(code)
-
-
-class _Commands(click.Group):
-    """Maps an exception escaping any command to one stderr line and an exit
-    code, so that neither a crash nor a usage error reads as a verdict."""
-
-    def make_context(self, *args, **kwargs) -> click.Context:
-        # the group's own usage errors: an unknown option, no command
-        try:
-            return super().make_context(*args, **kwargs)
-        except click.UsageError as exc:
-            exc.exit_code = EXIT_PARSE
-            raise
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except click.UsageError as exc:
-            exc.exit_code = EXIT_PARSE
-            raise
-        except (click.exceptions.Exit, click.Abort, click.ClickException):
-            raise
-        except (RecursionError, MemoryError) as exc:
-            _exit_with(EXIT_UNDECIDED, "undecided", exc)
-        except Exception as exc:
-            _exit_with(EXIT_INTERNAL, "internal error", exc)
-
-
-@click.group(cls=_Commands)
-def main() -> None:
-    """Decide strong and weak simulation preorder between one-counter nets."""
-
-
-@main.command()
-@click.option("--strong", "mode", flag_value="strong", default=True)
-@click.option("--weak", "mode", flag_value="weak")
-@click.option("--tau", default="tau", show_default=True, help="internal action for --weak")
-@click.option("--json", "as_json", is_flag=True, help="machine-readable verdict")
-@click.option("--max-depth", type=NATURAL, default=EngineLimits.spoiler_depth_cap,
-              show_default=True, help="bounded Spoiler search cap")
-@click.option("--max-period", type=POSITIVE, default=max(EngineLimits.k_schedule),
-              show_default=True, help="largest period k to try")
-@click.option("--max-rect", type=NATURAL, default=EngineLimits.max_rect,
-              show_default=True, help="largest window rectangle")
-@click.option(
-    "--dump-approximants", "dump_dir", type=click.Path(), default=None,
-    help="write each weak level's approximant net pair into this directory",
-)
-@click.argument("net_a")
-@click.argument("net_b")
-@click.argument("conf_a")
-@click.argument("conf_b")
 def check(mode, tau, as_json, max_depth, max_period, max_rect, dump_dir,
           net_a, net_b, conf_a, conf_b):
     """Decide whether CONF_A of NET_A is simulated by CONF_B of NET_B."""
@@ -164,7 +120,7 @@ def check(mode, tau, as_json, max_depth, max_period, max_rect, dump_dir,
     elapsed_ms = int((time.monotonic() - started) * 1000)
     verdict = {True: "true", False: "false", None: "undecided"}[answer]
     if as_json:
-        click.echo(json.dumps({
+        print(json.dumps({
             "schema": 1,
             "verdict": verdict,
             "pair": {"left": f"{left.state}:{left.counter}", "right": f"{right.state}:{right.counter}"},
@@ -174,14 +130,10 @@ def check(mode, tau, as_json, max_depth, max_period, max_rect, dump_dir,
             "elapsed_ms": elapsed_ms,
         }))
     else:
-        click.echo(f"simulated: {verdict}")
-    sys.exit({True: EXIT_TRUE, False: EXIT_FALSE, None: EXIT_UNDECIDED}[answer])
+        print(f"simulated: {verdict}")
+    return {True: EXIT_TRUE, False: EXIT_FALSE, None: EXIT_UNDECIDED}[answer]
 
 
-@main.command()
-@click.option("--json", "as_json", is_flag=True)
-@click.argument("net_a")
-@click.argument("net_b")
 def belts(as_json, net_a, net_b):
     """Print each state pair's boundary slope and belt width."""
     spoiler = _load_net(net_a)
@@ -198,14 +150,14 @@ def belts(as_json, net_a, net_b):
         for b in engine.belts()
     ]
     if as_json:
-        click.echo(json.dumps({"schema": 1, "c_global": engine.c_global, "pairs": rows}))
+        print(json.dumps({"schema": 1, "c_global": engine.c_global, "pairs": rows}))
         return
-    click.echo(f"{'q':<12} {'q_prime':<12} {'slope':<8} {'c':<5} vertical")
+    print(f"{'q':<12} {'q_prime':<12} {'slope':<8} {'c':<5} vertical")
     for r in rows:
         q, q2 = r["q"], r["q'"]
         slope = f"[{r['slope'][0]},{r['slope'][1]}]"
         vertical = "yes" if r["vertical"] else "no"
-        click.echo(f"{q:<12} {q2:<12} {slope:<8} {r['c']:<5} {vertical}")
+        print(f"{q:<12} {q2:<12} {slope:<8} {r['c']:<5} {vertical}")
 
 
 def _render_ascii(engine: StrongSimEngine, pair, size: int) -> str:
@@ -247,34 +199,22 @@ def _render_svg(engine: StrongSimEngine, pair, size: int) -> str:
     return "\n".join(parts) + "\n"
 
 
-@main.command()
-@click.option("--pair", "pair_opt", required=True, help="state pair q,q'")
-@click.option("--max", "size", type=POSITIVE, default=16, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["ascii", "svg"]), default="ascii")
-@click.option("--out", type=click.Path(), default=None, help="output file (default stdout)")
-@click.argument("net_a")
-@click.argument("net_b")
 def render(pair_opt, size, fmt, out, net_a, net_b):
     """Render the simulation coloring of one state pair as a grid."""
     spoiler = _load_net(net_a)
     duplicator = _load_net(net_b)
     q, sep, q2 = pair_opt.partition(",")
     if not sep or q not in spoiler.states or q2 not in duplicator.states:
-        click.echo(f"bad --pair {pair_opt!r}", err=True)
+        print(f"bad --pair {pair_opt!r}", file=sys.stderr)
         sys.exit(EXIT_PARSE)
     engine = StrongSimEngine(spoiler, duplicator)
     text = (_render_ascii if fmt == "ascii" else _render_svg)(engine, (q, q2), size)
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
-@main.command()
-@click.option("--out", type=click.Path(), required=True)
-@click.option("--pairs", "pairs_opt", default=None, help="semicolon-separated q,q' filters")
-@click.argument("net_a")
-@click.argument("net_b")
 def export(out, pairs_opt, net_a, net_b):
     """Write the semilinear description of the simulation relation as JSON."""
     spoiler = _load_net(net_a)
@@ -285,14 +225,14 @@ def export(out, pairs_opt, net_a, net_b):
         for item in pairs_opt.split(";"):
             q, sep, q2 = item.partition(",")
             if not sep or q not in spoiler.states or q2 not in duplicator.states:
-                click.echo(f"bad --pairs item {item!r}", err=True)
+                print(f"bad --pairs item {item!r}", file=sys.stderr)
                 sys.exit(EXIT_PARSE)
             keep.add((q, q2))
     engine = StrongSimEngine(spoiler, duplicator)
     col = engine.export_coloring()
     if col is None:
-        click.echo("undecided: no certified coloring within the caps", err=True)
-        sys.exit(EXIT_UNDECIDED)
+        print("undecided: no certified coloring within the caps", file=sys.stderr)
+        return EXIT_UNDECIDED
     obj = col.to_json_obj()
     if keep is not None:
         obj["pairs"] = [p for p in obj["pairs"] if (p["q"], p["q'"]) in keep]
@@ -303,16 +243,6 @@ def export(out, pairs_opt, net_a, net_b):
         fh.write("\n]}\n")
 
 
-@main.command()
-@click.option("--rounds", type=NATURAL, default=32, show_default=True)
-@click.option("--weak", is_flag=True)
-@click.option("--tau", default="tau", show_default=True)
-@click.option("--tau-cap", type=NATURAL, default=4, show_default=True)
-@click.option("--json", "as_json", is_flag=True)
-@click.argument("net_a")
-@click.argument("net_b")
-@click.argument("conf_a")
-@click.argument("conf_b")
 def oracle(rounds, weak, tau, tau_cap, as_json, net_a, net_b, conf_a, conf_b):
     """Run the brute-force bounded-round game oracle."""
     from .oracle import bounded_round_winner, bounded_weak_round_winner
@@ -328,21 +258,99 @@ def oracle(rounds, weak, tau, tau_cap, as_json, net_a, net_b, conf_a, conf_b):
     else:
         verdict = bounded_round_winner((spoiler, duplicator), (left, right), rounds)
     if as_json:
-        click.echo(json.dumps({
+        print(json.dumps({
             "schema": 1,
             "spoiler_wins": verdict.spoiler_wins,
             "rounds": verdict.rounds,
         }))
     else:
         kind = "spoiler_wins_within" if verdict.spoiler_wins else "duplicator_survives"
-        click.echo(f"{kind}: {verdict.rounds}")
+        print(f"{kind}: {verdict.rounds}")
 
 
-@main.command("print")
-@click.argument("net_a")
 def print_net(net_a):
     """Parse a net file and print its canonical form (round-trip check)."""
-    click.echo(format_net(_load_net(net_a)), nl=False)
+    sys.stdout.write(format_net(_load_net(net_a)))
+
+
+class _Parser(argparse.ArgumentParser):
+    """Exits 64 on a usage error, where argparse exits 2, which would read as
+    `undecided`.  Takes no abbreviated option and no `-h`."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+        self.add_argument("--help", action="help", help="show this message and exit")
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
+def _parser() -> _Parser:
+    parser = _Parser(prog="ocnsim", description=main.__doc__)
+    commands = parser.add_subparsers(required=True, metavar="COMMAND")
+
+    def command(run, *arguments: str, name: str | None = None) -> _Parser:
+        sub = commands.add_parser(name or run.__name__, help=run.__doc__, description=run.__doc__)
+        sub.set_defaults(run=run)
+        for arg in arguments:
+            sub.add_argument(arg, metavar=arg.upper())
+        return sub
+
+    sub = command(check, "net_a", "net_b", "conf_a", "conf_b")
+    sub.add_argument("--strong", dest="mode", action="store_const", const="strong", default="strong")
+    sub.add_argument("--weak", dest="mode", action="store_const", const="weak")
+    sub.add_argument("--tau", default="tau", help="internal action for --weak (default: %(default)s)")
+    sub.add_argument("--json", dest="as_json", action="store_true", help="machine-readable verdict")
+    sub.add_argument("--max-depth", type=NATURAL, default=EngineLimits.spoiler_depth_cap,
+                     help="bounded Spoiler search cap (default: %(default)s)")
+    sub.add_argument("--max-period", type=POSITIVE, default=max(EngineLimits.k_schedule),
+                     help="largest period k to try (default: %(default)s)")
+    sub.add_argument("--max-rect", type=NATURAL, default=EngineLimits.max_rect,
+                     help="largest window rectangle (default: %(default)s)")
+    sub.add_argument("--dump-approximants", dest="dump_dir",
+                     help="write each weak level's approximant net pair into this directory")
+
+    sub = command(belts, "net_a", "net_b")
+    sub.add_argument("--json", dest="as_json", action="store_true")
+
+    sub = command(render, "net_a", "net_b")
+    sub.add_argument("--pair", dest="pair_opt", required=True, help="state pair q,q'")
+    sub.add_argument("--max", dest="size", type=POSITIVE, default=16, help="(default: %(default)s)")
+    sub.add_argument("--format", dest="fmt", choices=["ascii", "svg"], default="ascii")
+    sub.add_argument("--out", help="output file (default stdout)")
+
+    sub = command(export, "net_a", "net_b")
+    sub.add_argument("--out", required=True)
+    sub.add_argument("--pairs", dest="pairs_opt", help="semicolon-separated q,q' filters")
+
+    sub = command(oracle, "net_a", "net_b", "conf_a", "conf_b")
+    sub.add_argument("--rounds", type=NATURAL, default=32, help="(default: %(default)s)")
+    sub.add_argument("--weak", action="store_true")
+    sub.add_argument("--tau", default="tau", help="(default: %(default)s)")
+    sub.add_argument("--tau-cap", type=NATURAL, default=4, help="(default: %(default)s)")
+    sub.add_argument("--json", dest="as_json", action="store_true")
+
+    command(print_net, "net_a", name="print")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Decide strong and weak simulation preorder between one-counter nets."""
+    for stream in (sys.stdout, sys.stderr):
+        # an ASCII stream would fail on the first non-ASCII state name
+        if codecs.lookup(stream.encoding or "utf-8").name == "ascii":
+            stream.reconfigure(encoding="utf-8", errors="replace")
+    options = vars(_parser().parse_args(argv))
+    run = options.pop("run")
+    try:
+        code = run(**options)
+    except Exception as exc:
+        cap = isinstance(exc, (RecursionError, MemoryError))
+        code, label = (EXIT_UNDECIDED, "undecided") if cap else (EXIT_INTERNAL, "internal error")
+        message = f"{label}: {type(exc).__name__}: {exc}"
+        print(" ".join(message.split()), file=sys.stderr)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from operator import mul, sub
 
 from .core import (
     Config,
+    NetError,
     Node,
     Ocn,
     ProductGraph,
@@ -728,6 +729,8 @@ class StrongSimEngine:
         """Exact simulation answer, or None when the resource caps are hit."""
         lstate, ln = (left.state, left.counter) if hasattr(left, "state") else left
         rstate, rn = (right.state, right.counter) if hasattr(right, "state") else right
+        if ln < 0 or rn < 0:
+            raise NetError(f"counters must be non-negative, got {ln} and {rn}")
         pair: Node = (lstate, rstate)
         if pair not in self.scans:
             raise GeometryError(f"unknown state pair {pair}")

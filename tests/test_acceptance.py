@@ -321,15 +321,12 @@ def test_criterion_8_cli_contract(tmp_path):
     import json
     from pathlib import Path
 
-    from click.testing import CliRunner
-
-    from ocnsim.cli import main
+    from cli_runner import run
     from ocnsim.core import format_net, parse_net
     from nets import random_pair
 
     data = Path(__file__).parent / "data"
     golden = Path(__file__).parent / "golden"
-    runner = CliRunner()
     failures = []
 
     cases = [
@@ -337,11 +334,11 @@ def test_criterion_8_cli_contract(tmp_path):
         (["check", "--strong", str(data / "a.ocn"), str(data / "acopy.ocn"), "p:5", "q:3"], 1),
     ]
     for args, code in cases:
-        if runner.invoke(main, args).exit_code != code:
+        if run(*args).exit_code != code:
             failures.append(args)
     bad = tmp_path / "bad.ocn"
     bad.write_text("net X\nstates s\nactions a\ns a +2 s\n", encoding="utf-8")
-    if runner.invoke(main, ["check", str(bad), str(bad), "s:0", "s:0"]).exit_code != 64:
+    if run("check", str(bad), str(bad), "s:0", "s:0").exit_code != 64:
         failures.append("parse-exit")
 
     renders = [
@@ -350,12 +347,12 @@ def test_criterion_8_cli_contract(tmp_path):
         ("render_b_a.txt", ["render", "--pair", "r,p", "--max", "8", str(data / "b.ocn"), str(data / "a.ocn")]),
     ]
     for name, args in renders:
-        res = runner.invoke(main, args)
+        res = run(*args)
         if res.output != (golden / name).read_text(encoding="utf-8"):
             failures.append(name)
     svg = tmp_path / "out.svg"
-    runner.invoke(main, ["render", "--pair", "p,q", "--max", "8", "--format", "svg",
-                         "--out", str(svg), str(data / "a.ocn"), str(data / "acopy.ocn")])
+    run("render", "--pair", "p,q", "--max", "8", "--format", "svg",
+        "--out", str(svg), str(data / "a.ocn"), str(data / "acopy.ocn"))
     if svg.read_bytes() != (golden / "render_a_a.svg").read_bytes():
         failures.append("svg")
 
@@ -366,7 +363,7 @@ def test_criterion_8_cli_contract(tmp_path):
     ]
     for name, na, nb in exports:
         out = tmp_path / name
-        res = runner.invoke(main, ["export", "--out", str(out), str(data / na), str(data / nb)])
+        res = run("export", "--out", str(out), str(data / na), str(data / nb))
         if res.exit_code != 0 or out.read_bytes() != (golden / name).read_bytes():
             failures.append(name)
         else:
@@ -376,7 +373,7 @@ def test_criterion_8_cli_contract(tmp_path):
         net, _ = random_pair(seed)
         path = tmp_path / f"n{seed}.ocn"
         path.write_text(format_net(net), encoding="utf-8")
-        res = runner.invoke(main, ["print", str(path)])
+        res = run("print", str(path))
         if res.exit_code != 0 or parse_net(res.output) != net:
             failures.append(f"roundtrip-{seed}")
 

@@ -1,12 +1,15 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
+import ocnsim
+from cli_runner import run
 from nets import random_pair
-from ocnsim.cli import EXIT_INTERNAL, main
+from ocnsim.cli import EXIT_INTERNAL
 from ocnsim.coloring import StrongSimEngine
 from ocnsim.core import format_net, parse_net
 
@@ -19,8 +22,13 @@ Z = str(DATA / "z.ocn")
 B = str(DATA / "b.ocn")
 
 
-def run(*args):
-    return CliRunner().invoke(main, list(args))
+def run_python(code, *args, **env):
+    """`python -c code args` in a fresh interpreter that imports this ocnsim."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ocnsim.__file__).parents[1]), **env}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, encoding="utf-8", env=env,
+        timeout=120,
+    )
 
 
 def test_check_true_exit_zero():
@@ -150,6 +158,7 @@ def test_check_limit_flags():
         ("no-such-command", A),
         ("--bogus",),
         (),
+        ("check", "--max-d", "1", A, ACOPY, "p:3", "q:5"),
     ],
 )
 def test_usage_errors_exit_64(args):
@@ -157,7 +166,47 @@ def test_usage_errors_exit_64(args):
     res = run(*args)
     assert res.exit_code == 64
     assert res.stdout == ""
-    assert res.stderr.startswith("Usage:")
+    assert res.stderr.startswith("usage:")
+
+
+@pytest.mark.parametrize("args", [("--help",), ("check", "--help")])
+def test_help_exits_zero(args):
+    res = run(*args)
+    assert res.exit_code == 0
+    assert res.stdout.startswith("usage: ocnsim")
+    assert res.stderr == ""
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_interrupted_check_is_no_verdict(flags):
+    # a KeyboardInterrupt raised inside pytest would end the session, so the
+    # interrupted check runs in its own interpreter
+    code = (
+        "import sys\n"
+        "from ocnsim.cli import main\n"
+        "from ocnsim.coloring import StrongSimEngine\n"
+        "def decide(self, left, right):\n"
+        "    raise KeyboardInterrupt\n"
+        "StrongSimEngine.decide = decide\n"
+        "main(sys.argv[1:])\n"
+    )
+    proc = run_python(code, "check", *flags, A, ACOPY, "p:3", "q:5")
+    assert proc.returncode not in (0, 1, 2)
+    assert "simulated" not in proc.stdout and "verdict" not in proc.stdout
+
+
+def test_non_ascii_state_on_an_ascii_stream(tmp_path):
+    net = tmp_path / "sharp_s.ocn"
+    net.write_text("net S\nstates \u00df\nactions a\n\u00df a -1 \u00df\n", encoding="utf-8")
+    code = "from ocnsim.cli import main; main()"
+    proc = run_python(code, "belts", str(net), ACOPY, PYTHONIOENCODING="ascii")
+    assert proc.returncode == 0, proc.stderr
+    assert "\u00df" in proc.stdout
+
+
+def test_cli_imports_no_click():
+    proc = run_python("import sys, ocnsim.cli; print('click' in sys.modules)")
+    assert proc.returncode == 0 and proc.stdout == "False\n"
 
 
 def test_undecodable_net_file_exits_64(tmp_path):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from nets import NET_A, NET_ACOPY, NET_B, NET_Z, random_pair
-from ocnsim.core import Config, Ocn, build_product, normalize_pair
+from ocnsim.core import Config, NetError, Ocn, build_product, normalize_pair
 from ocnsim.coloring import (
     MAX_ROUNDS,
     EngineLimits,
@@ -392,6 +392,15 @@ def test_decide_strong_reference_answers():
     assert _engine(NET_A, NET_ACOPY).decide(Config("p", 3), Config("q", 5)) is True
     assert _engine(NET_A, NET_ACOPY).decide(Config("p", 5), Config("q", 3)) is False
     assert _engine(NET_Z, NET_B).decide(Config("z", 0), Config("r", 0)) is True
+
+
+@pytest.mark.parametrize(
+    "left,right", [(("p", -1), ("q", 3)), (("p", -5), ("q", -5)), (("p", 3), ("q", -1))]
+)
+def test_decide_rejects_negative_counters(left, right):
+    # as Config does: a negative counter is an invalid query, not a verdict
+    with pytest.raises(NetError, match="non-negative"):
+        _engine(NET_A, NET_ACOPY).decide(left, right)
 
 
 def test_schedule_reaches_every_default_period():

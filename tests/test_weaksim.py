@@ -1,7 +1,8 @@
 import random
 
+from cli_runner import run
 from nets import NET_A, random_pair
-from ocnsim.core import Config, Ocn
+from ocnsim.core import Config, Ocn, format_net
 from ocnsim.coloring import StrongSimEngine
 from ocnsim.oracle import bounded_weak_round_winner
 from ocnsim.weaksim import (
@@ -285,6 +286,26 @@ def _omega_into_y() -> tuple[Ocn, Ocn]:
         ),
     )
     return sp, dup
+
+
+def test_dump_approximants_writes_each_level(tmp_path):
+    sp, dup = _omega_into_y()
+    net_a, net_b, out = tmp_path / "sp.ocn", tmp_path / "dup.ocn", tmp_path / "levels"
+    net_a.write_text(format_net(sp), encoding="utf-8")
+    net_b.write_text(format_net(dup), encoding="utf-8")
+    res = run("check", "--weak", "--dump-approximants", str(out), str(net_a), str(net_b), "p:0", "q:0")
+    assert res.exit_code == 0, res.output
+    conv = converge_weak(sp, dup)
+    assert len(conv.approximants) == 2
+    levels = range(1, len(conv.approximants) + 1)
+    expected = {f"level{i}_{side}.ocn" for i in levels for side in ("spoiler", "duplicator")}
+    assert {f.name for f in out.iterdir()} == expected
+    for i in levels:
+        nets = conv.approximants[i - 1]
+        assert (out / f"level{i}_spoiler.ocn").read_text(encoding="utf-8") == format_net(nets.spoiler)
+        assert (out / f"level{i}_duplicator.ocn").read_text(encoding="utf-8") == format_net(nets.duplicator)
+    # the gadget states carry reserved `__` names: the files are for reading
+    assert run("print", str(out / "level1_spoiler.ocn")).exit_code == 64
 
 
 def test_one_engine_per_level_answers_as_the_last_level(monkeypatch):
