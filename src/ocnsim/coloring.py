@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import copy
 from collections import deque
-from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, repeat
 from math import ceil
 from operator import mul, sub
@@ -26,6 +24,7 @@ from .core import (
     Node,
     Ocn,
     ProductGraph,
+    _read_only,
     build_product,
     graph_parameters,
     normalize_pair,
@@ -46,7 +45,6 @@ class GeometryError(RuntimeError):
     """Internal inconsistency: a wrap edge left its belt or window."""
 
 
-@dataclass(frozen=True)
 class Belt:
     """A pair's belt: boundary slope plus certified margin width c.
 
@@ -54,9 +52,16 @@ class Belt:
     than c below are excluded; the frontier runs inside the strip between.
     """
 
-    pair: Node
-    slope: Slope
-    c: int
+    __slots__ = ("pair", "slope", "c")
+    __setattr__ = _read_only
+
+    def __init__(self, pair: Node, slope: Slope, c: int) -> None:
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "c", c)
+
+    def __reduce__(self):
+        return Belt, (self.pair, self.slope, self.c)
 
     @property
     def vertical(self) -> bool:
@@ -72,13 +77,21 @@ class Belt:
         return None
 
 
-@dataclass(frozen=True)
 class PairGeometry(Belt):
-    """Belt geometry of one pair instantiated over a window (l0, j, k)."""
+    """Belt geometry of one pair instantiated over a window (l0, j, k), whose
+    corner `cap` is rect_cap(j + k)."""
 
-    l0: Point
-    j: int
-    k: int
+    __slots__ = ("l0", "j", "k", "cap")
+
+    def __init__(self, pair: Node, slope: Slope, c: int, l0: Point, j: int, k: int) -> None:
+        super().__init__(pair, slope, c)
+        object.__setattr__(self, "l0", l0)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "cap", self.rect_cap(j + k))
+
+    def __reduce__(self):
+        return PairGeometry, (self.pair, self.slope, self.c, self.l0, self.j, self.k)
 
     def resolve(self, pt: Point) -> bool | Point:
         """The zone value of a point, or else the window point standing for
@@ -90,11 +103,6 @@ class PairGeometry(Belt):
 
     def rect_cap(self, j: int) -> Point:
         return (self.l0[0] + j * self.slope.rho, self.l0[1] + j * self.slope.rho_prime)
-
-    @cached_property
-    def cap(self) -> Point:
-        """The window corner, rect_cap(j + k)."""
-        return self.rect_cap(self.j + self.k)
 
     def in_rect(self, pt: Point, j: int) -> bool:
         cap = self.rect_cap(j)
@@ -149,15 +157,22 @@ class PairGeometry(Belt):
         return out
 
 
-@dataclass
 class VerificationReport:
     """Outcome of checking a coloring: local simulation-condition violations
     on claimed points, unconfirmed claimed non-points, and periodicity
     certification failures."""
 
-    yes_violations: list[tuple[Node, Point]] = field(default_factory=list)
-    no_unconfirmed: list[tuple[Node, Point]] = field(default_factory=list)
-    periodicity_failures: list[str] = field(default_factory=list)
+    __slots__ = ("yes_violations", "no_unconfirmed", "periodicity_failures")
+
+    def __init__(
+        self,
+        yes_violations: list[tuple[Node, Point]] | None = None,
+        no_unconfirmed: list[tuple[Node, Point]] | None = None,
+        periodicity_failures: list[str] | None = None,
+    ) -> None:
+        self.yes_violations = [] if yes_violations is None else yes_violations
+        self.no_unconfirmed = [] if no_unconfirmed is None else no_unconfirmed
+        self.periodicity_failures = [] if periodicity_failures is None else periodicity_failures
 
 
 # ---------------------------------------------------------------------------
@@ -620,14 +635,24 @@ HORIZON_CAP = 256
 MAX_SHIFT = 4
 
 
-@dataclass
 class EngineLimits:
     """Resource caps for the escalation loop; exceeding them yields an honest
-    "undecided" answer, never a wrong one."""
+    "undecided" answer, never a wrong one.  The class attributes are the
+    defaults."""
 
     k_schedule: tuple[int, ...] = (1, 2, 3, 4, 6)
     spoiler_depth_cap: int = 4096
     max_rect: int = 20000
+
+    def __init__(
+        self,
+        k_schedule: tuple[int, ...] = k_schedule,
+        spoiler_depth_cap: int = spoiler_depth_cap,
+        max_rect: int = max_rect,
+    ) -> None:
+        self.k_schedule = k_schedule
+        self.spoiler_depth_cap = spoiler_depth_cap
+        self.max_rect = max_rect
 
 
 class StrongSimEngine:
@@ -733,7 +758,7 @@ class StrongSimEngine:
             raise NetError(f"counters must be non-negative, got {ln} and {rn}")
         pair: Node = (lstate, rstate)
         if pair not in self.scans:
-            raise GeometryError(f"unknown state pair {pair}")
+            raise NetError(f"unknown state pair {pair}")
         pt: Point = (ln, rn)
         zone = self._belts[pair].zone(pt)
         if zone is not None:

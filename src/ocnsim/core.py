@@ -9,7 +9,6 @@ command line front end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -26,28 +25,48 @@ class NetError(ValueError):
     """Raised for structurally invalid nets or invalid queries against them."""
 
 
-@dataclass(frozen=True)
+def _read_only(self, name: str, value: object) -> None:
+    """`__setattr__` of the shared, immutable types, whose `__init__` sets
+    each field once through `object.__setattr__`.  Those with `__slots__`
+    copy and pickle through `__reduce__`, since restoring slots assigns them."""
+    raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+
 class Ocn:
     """A one-counter net: finite states, actions and counter transitions."""
 
-    name: str
-    states: tuple[str, ...]
-    actions: tuple[str, ...]
-    transitions: tuple[Transition, ...]
+    __setattr__ = _read_only
 
-    def __post_init__(self) -> None:
-        if len(set(self.states)) != len(self.states):
-            raise NetError(f"net {self.name}: duplicate state identifiers")
-        if len(set(self.actions)) != len(self.actions):
-            raise NetError(f"net {self.name}: duplicate action identifiers")
-        state_set, action_set = set(self.states), set(self.actions)
-        for src, act, delta, dst in self.transitions:
+    def __init__(
+        self,
+        name: str,
+        states: tuple[str, ...],
+        actions: tuple[str, ...],
+        transitions: tuple[Transition, ...],
+    ) -> None:
+        if len(set(states)) != len(states):
+            raise NetError(f"net {name}: duplicate state identifiers")
+        if len(set(actions)) != len(actions):
+            raise NetError(f"net {name}: duplicate action identifiers")
+        state_set, action_set = set(states), set(actions)
+        for src, act, delta, dst in transitions:
             if src not in state_set or dst not in state_set:
-                raise NetError(f"net {self.name}: transition uses unknown state {src!r} or {dst!r}")
+                raise NetError(f"net {name}: transition uses unknown state {src!r} or {dst!r}")
             if act not in action_set:
-                raise NetError(f"net {self.name}: transition uses unknown action {act!r}")
+                raise NetError(f"net {name}: transition uses unknown action {act!r}")
             if delta not in (-1, 0, 1):
-                raise NetError(f"net {self.name}: delta {delta} not in {{-1, 0, +1}}")
+                raise NetError(f"net {name}: delta {delta} not in {{-1, 0, +1}}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "actions", actions)
+        object.__setattr__(self, "transitions", transitions)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Ocn):
+            return NotImplemented
+        return (self.name, self.states, self.actions, self.transitions) == (
+            other.name, other.states, other.actions, other.transitions
+        )
 
     @cached_property
     def out(self) -> dict[str, tuple[Transition, ...]]:
@@ -65,16 +84,28 @@ class Ocn:
         return {k: tuple(v) for k, v in grouped.items()}
 
 
-@dataclass(frozen=True)
 class Config:
     """A configuration: control state plus non-negative counter value."""
 
-    state: str
-    counter: int
+    __slots__ = ("state", "counter")
+    __setattr__ = _read_only
 
-    def __post_init__(self) -> None:
-        if self.counter < 0:
-            raise NetError(f"counter must be non-negative, got {self.counter}")
+    def __init__(self, state: str, counter: int) -> None:
+        if counter < 0:
+            raise NetError(f"counter must be non-negative, got {counter}")
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "counter", counter)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Config):
+            return NotImplemented
+        return self.state == other.state and self.counter == other.counter
+
+    def __hash__(self) -> int:
+        return hash((self.state, self.counter))
+
+    def __reduce__(self):
+        return Config, (self.state, self.counter)
 
 
 def steps(net: Ocn, c: Config) -> set[tuple[str, Config]]:
@@ -146,7 +177,6 @@ Node = tuple[str, str]
 Move = tuple[str, int, tuple[tuple[int, Node], ...]]
 
 
-@dataclass(frozen=True)
 class ProductGraph:
     """Synchronized control graph of a Spoiler/Duplicator net pair.
 
@@ -155,9 +185,12 @@ class ProductGraph:
     pairs.
     """
 
-    nodes: tuple[Node, ...]
-    spoiler: Ocn
-    duplicator: Ocn
+    __setattr__ = _read_only
+
+    def __init__(self, nodes: tuple[Node, ...], spoiler: Ocn, duplicator: Ocn) -> None:
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "spoiler", spoiler)
+        object.__setattr__(self, "duplicator", duplicator)
 
     @property
     def K(self) -> int:

@@ -7,23 +7,36 @@ predicates are decided with exact integer cross products, never floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cmp_to_key
 from math import gcd
+
+from .core import _read_only
 
 Vec2 = tuple[int, int]
 
 
-@dataclass(frozen=True, order=True)
 class Slope:
     """A positive direction vector (rho, rho') with (rho, rho') != (0, 0)."""
 
-    rho: int
-    rho_prime: int
+    __slots__ = ("rho", "rho_prime")
+    __setattr__ = _read_only
 
-    def __post_init__(self) -> None:
-        if self.rho < 0 or self.rho_prime < 0 or (self.rho, self.rho_prime) == (0, 0):
-            raise ValueError(f"not a positive vector: {(self.rho, self.rho_prime)}")
+    def __init__(self, rho: int, rho_prime: int) -> None:
+        if rho < 0 or rho_prime < 0 or (rho, rho_prime) == (0, 0):
+            raise ValueError(f"not a positive vector: {(rho, rho_prime)}")
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "rho_prime", rho_prime)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Slope):
+            return NotImplemented
+        return self.rho == other.rho and self.rho_prime == other.rho_prime
+
+    def __hash__(self) -> int:
+        return hash((self.rho, self.rho_prime))
+
+    def __reduce__(self):
+        return Slope, (self.rho, self.rho_prime)
 
     def normalized(self) -> "Slope":
         g = gcd(self.rho, self.rho_prime)

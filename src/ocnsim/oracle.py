@@ -8,17 +8,17 @@ beyond a certification bound the caller must supply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import Config, Node, Ocn, steps
 
 TAU = "tau"
 
 
-@dataclass(frozen=True)
 class BoundedVerdict:
-    spoiler_wins: bool
-    rounds: int
+    __slots__ = ("spoiler_wins", "rounds")
+
+    def __init__(self, spoiler_wins: bool, rounds: int) -> None:
+        self.spoiler_wins = spoiler_wins
+        self.rounds = rounds
 
     @staticmethod
     def spoiler_wins_within(rounds: int) -> "BoundedVerdict":

@@ -9,7 +9,6 @@ slope yields each state pair's boundary slope and the belt constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Literal
 
 from .core import Node, ProductGraph, _tarjan_sccs, graph_parameters
@@ -24,10 +23,12 @@ DUPLICATOR = "duplicator"
 Player = Literal["spoiler", "duplicator"]
 
 
-@dataclass(frozen=True)
 class SlopeGameResult:
-    winner: Player
-    segment_depth: int
+    __slots__ = ("winner", "segment_depth")
+
+    def __init__(self, winner: Player, segment_depth: int) -> None:
+        self.winner = winner
+        self.segment_depth = segment_depth
 
 
 def evaluate_lasso(cycle_effect: Vec2, slope: Slope) -> Player | Slope:
@@ -197,23 +198,34 @@ def cycle_effect_candidates(g: ProductGraph) -> set[Vec2]:
     return effects | {(-x, -y) for x, y in effects}
 
 
-@dataclass(frozen=True)
 class RepOutcome:
-    slope: Slope
-    winner: Player
-    segment_depth: int
+    __slots__ = ("slope", "winner", "segment_depth")
+
+    def __init__(self, slope: Slope, winner: Player, segment_depth: int) -> None:
+        self.slope = slope
+        self.winner = winner
+        self.segment_depth = segment_depth
 
 
-@dataclass(frozen=True)
 class PairScan:
     """Slope-game outcomes for one state pair across all representatives,
     condensed to the boundary slope and the margins the key lemmas certify."""
 
-    node: Node
-    boundary: Slope
-    outcomes: tuple[RepOutcome, ...]
-    c_above: int  # K * depth of the first Duplicator-won representative
-    c_below: int  # K * depth of the last Spoiler-won representative
+    __slots__ = ("node", "boundary", "outcomes", "c_above", "c_below")
+
+    def __init__(
+        self,
+        node: Node,
+        boundary: Slope,
+        outcomes: tuple[RepOutcome, ...],
+        c_above: int,  # K * depth of the first Duplicator-won representative
+        c_below: int,  # K * depth of the last Spoiler-won representative
+    ) -> None:
+        self.node = node
+        self.boundary = boundary
+        self.outcomes = outcomes
+        self.c_above = c_above
+        self.c_below = c_below
 
 
 def scan_pair(node: Node, reps: list[Slope], solver: SlopeGameSolver) -> PairScan:

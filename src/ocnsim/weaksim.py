@@ -13,7 +13,6 @@ gadget whose chain length is the previous level's sufficient value.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .core import Config, NetError, Node, Ocn, Transition
 from .coloring import EngineLimits, StrongSimEngine
@@ -30,23 +29,29 @@ DUP_ELOOP = "__de"
 OmegaTransition = tuple[str, str, object, str]  # delta is an int or OMEGA
 
 
-@dataclass(frozen=True)
 class OmegaNet:
     """A one-counter net extended with omega-transitions, whose steps may
     raise the counter to any strictly larger value."""
 
-    name: str
-    states: tuple[str, ...]
-    actions: tuple[str, ...]
-    transitions: tuple[OmegaTransition, ...]
+    __slots__ = ("name", "states", "actions", "transitions")
 
-    def __post_init__(self) -> None:
-        state_set, action_set = set(self.states), set(self.actions)
-        for src, act, delta, dst in self.transitions:
+    def __init__(
+        self,
+        name: str,
+        states: tuple[str, ...],
+        actions: tuple[str, ...],
+        transitions: tuple[OmegaTransition, ...],
+    ) -> None:
+        state_set, action_set = set(states), set(actions)
+        for src, act, delta, dst in transitions:
             if src not in state_set or dst not in state_set or act not in action_set:
-                raise NetError(f"omega-net {self.name}: dangling transition {src, act, dst}")
+                raise NetError(f"omega-net {name}: dangling transition {src, act, dst}")
             if delta != OMEGA and delta not in (-1, 0, 1):
-                raise NetError(f"omega-net {self.name}: bad delta {delta!r}")
+                raise NetError(f"omega-net {name}: bad delta {delta!r}")
+        self.name = name
+        self.states = states
+        self.actions = actions
+        self.transitions = transitions
 
     def omega_transitions(self) -> list[OmegaTransition]:
         return [t for t in self.transitions if t[2] == OMEGA]
@@ -56,7 +61,6 @@ class OmegaNet:
 # tau-path profiles
 
 
-@dataclass
 class TauProfiles:
     """Counter profiles of tau paths between state pairs.
 
@@ -68,8 +72,15 @@ class TauProfiles:
     exploited with y reachable afterwards, or None.
     """
 
-    profiles: dict[tuple[str, str], list[tuple[int, int]]]
-    pump_required: dict[tuple[str, str], int | None]
+    __slots__ = ("profiles", "pump_required")
+
+    def __init__(
+        self,
+        profiles: dict[tuple[str, str], list[tuple[int, int]]],
+        pump_required: dict[tuple[str, str], int | None],
+    ) -> None:
+        self.profiles = profiles
+        self.pump_required = pump_required
 
 
 def _pareto(entries: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -246,7 +257,6 @@ def reduce_weak_to_strong(
 # Sufficient-value table and approximant nets
 
 
-@dataclass
 class SuffTable:
     """Per-pair sufficient values, one row per approximant level.
 
@@ -255,8 +265,13 @@ class SuffTable:
     non-increasing and any pair leaves omega at most once.
     """
 
-    pairs: tuple[Node, ...]
-    rows: list[dict[Node, int | None]] = field(default_factory=list)
+    __slots__ = ("pairs", "rows")
+
+    def __init__(
+        self, pairs: tuple[Node, ...], rows: list[dict[Node, int | None]] | None = None
+    ) -> None:
+        self.pairs = pairs
+        self.rows = [] if rows is None else rows
 
     def seed(self) -> dict[Node, int | None]:
         row: dict[Node, int | None] = {p: None for p in self.pairs}
@@ -284,16 +299,25 @@ class SuffTable:
         return len(self.rows) >= 2 and self.rows[-1] == self.rows[-2]
 
 
-@dataclass
 class ApproximantNets:
     """One approximant level: Spoiler's net with test gadgets and
     Duplicator's net with omega-transitions replaced by forcing scripts."""
 
-    level: int
-    spoiler: Ocn
-    duplicator: Ocn
-    gadget_sizes: dict[Node, int]
-    suff_row: dict[Node, int | None]
+    __slots__ = ("level", "spoiler", "duplicator", "gadget_sizes", "suff_row")
+
+    def __init__(
+        self,
+        level: int,
+        spoiler: Ocn,
+        duplicator: Ocn,
+        gadget_sizes: dict[Node, int],
+        suff_row: dict[Node, int | None],
+    ) -> None:
+        self.level = level
+        self.spoiler = spoiler
+        self.duplicator = duplicator
+        self.gadget_sizes = gadget_sizes
+        self.suff_row = suff_row
 
 
 def live_gadgets(m_net: Ocn, m_omega: OmegaNet) -> list[Node]:
@@ -452,15 +476,23 @@ class CapsExceeded(RuntimeError):
 # The convergence loop
 
 
-@dataclass
 class WeakConvergence:
     """Result of iterating approximant levels until the sufficient-value row
     repeats; the converged engine answers weak queries directly."""
 
-    engine: StrongSimEngine | None
-    levels: int
-    table: SuffTable
-    approximants: list[ApproximantNets]
+    __slots__ = ("engine", "levels", "table", "approximants")
+
+    def __init__(
+        self,
+        engine: StrongSimEngine | None,
+        levels: int,
+        table: SuffTable,
+        approximants: list[ApproximantNets],
+    ) -> None:
+        self.engine = engine
+        self.levels = levels
+        self.table = table
+        self.approximants = approximants
 
     def decide(self, left: Config, right: Config) -> bool | None:
         if self.engine is None:
@@ -468,12 +500,20 @@ class WeakConvergence:
         return self.engine.decide(left, right)
 
 
-@dataclass
 class WeakDecision:
-    answer: bool | None
-    levels: int
-    table: SuffTable
-    approximants: list[ApproximantNets]
+    __slots__ = ("answer", "levels", "table", "approximants")
+
+    def __init__(
+        self,
+        answer: bool | None,
+        levels: int,
+        table: SuffTable,
+        approximants: list[ApproximantNets],
+    ) -> None:
+        self.answer = answer
+        self.levels = levels
+        self.table = table
+        self.approximants = approximants
 
 
 def converge_weak(

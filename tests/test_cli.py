@@ -209,6 +209,20 @@ def test_cli_imports_no_click():
     assert proc.returncode == 0 and proc.stdout == "False\n"
 
 
+def test_imports_load_no_dataclasses():
+    # -S keeps site packages from importing either module themselves
+    code = (
+        "import sys, ocnsim.cli, ocnsim.weaksim, ocnsim.oracle\n"
+        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(ocnsim.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, encoding="utf-8", env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+
+
 def test_undecodable_net_file_exits_64(tmp_path):
     bad = tmp_path / "bad.ocn"
     bad.write_bytes(b"net X\nstates s\xff\n")

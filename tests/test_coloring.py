@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -364,6 +366,27 @@ def test_verify_coloring_flip_false_to_true():
                for _, pt in report.yes_violations)
 
 
+def test_export_shares_read_only_state():
+    # an export's geometry and product are shared with the engine, so none
+    # of them, nor a Slope or a Config, takes an assignment
+    eng = _engine(NET_A, NET_ACOPY)
+    col = eng.export_coloring()
+    geo = col.geometry[("p", "q")]
+    assert geo is eng.certified_coloring().geometry[("p", "q")]
+    shared = [(geo, "c"), (col.product, "nodes"), (geo.slope, "rho"), (Config("p", 1), "counter")]
+    for obj, name in shared:
+        before = getattr(obj, name)
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 7)
+        assert getattr(obj, name) == before
+    # read-only objects still copy and pickle
+    assert copy.deepcopy(col).to_json_obj() == col.to_json_obj()
+    assert pickle.loads(pickle.dumps(col)).to_json_obj() == col.to_json_obj()
+    belt = copy.copy(eng.belts()[0])
+    assert (belt.pair, belt.slope, belt.c) == (geo.pair, geo.slope, geo.c)
+    assert pickle.loads(pickle.dumps(Config("p", 1))) == Config("p", 1)
+
+
 def test_export_is_an_independent_copy():
     # flipping points of an export changes neither the engine's answers nor
     # a later export
@@ -395,11 +418,14 @@ def test_decide_strong_reference_answers():
 
 
 @pytest.mark.parametrize(
-    "left,right", [(("p", -1), ("q", 3)), (("p", -5), ("q", -5)), (("p", 3), ("q", -1))]
+    "left,right",
+    [(("p", -1), ("q", 3)), (("p", -5), ("q", -5)), (("p", 3), ("q", -1)), (("x", 0), ("q", 0))],
 )
 def test_decide_rejects_negative_counters(left, right):
-    # as Config does: a negative counter is an invalid query, not a verdict
-    with pytest.raises(NetError, match="non-negative"):
+    # as Config does: a negative counter, like a state pair outside the
+    # product, is an invalid query, not a verdict or a solver fault
+    match = "unknown state pair" if left[0] == "x" else "non-negative"
+    with pytest.raises(NetError, match=match):
         _engine(NET_A, NET_ACOPY).decide(left, right)
 
 
