@@ -13,8 +13,9 @@ is exact once (j, k) are large enough; verification makes that checkable.
 from __future__ import annotations
 
 import copy
+from array import array
 from collections import deque
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from math import ceil
 from operator import mul, sub
 
@@ -111,27 +112,27 @@ class PairGeometry(Belt):
     def in_window(self, pt: Point) -> bool:
         return pt[0] <= self.cap[0] and pt[1] <= self.cap[1]
 
-    def window_points(self) -> list[Point]:
-        """All points of belt /\\ rect(j + k), row by row."""
+    def columns(self) -> list[tuple[int, int]]:
+        """Per column n of belt /\\ rect(j + k), its lowest and highest m
+        (lowest above highest when the column is empty)."""
         rho, rho2 = self.slope.rho, self.slope.rho_prime
         X, Y = self.cap
         c = self.c
-        pts: list[Point] = []
+        if rho == 0:  # vertical belt: columns beyond c are below-zone
+            return [(0, Y)] * (min(X, c) + 1)
+        cols = []
         for n in range(0, X + 1):
-            if rho == 0:
-                if n > c:  # vertical belt: columns beyond c are below-zone
-                    break
-                lo, hi = 0, Y
+            hi = min(Y, (rho2 * (n + c)) // rho + c)
+            if rho2 == 0 or n <= c:
+                lo = 0
             else:
-                hi = min(Y, (rho2 * (n + c)) // rho + c)
-                if rho2 == 0:
-                    lo = 0
-                elif n <= c:
-                    lo = 0
-                else:
-                    lo = max(0, -(-(rho2 * (n - c) - rho * c) // rho))
-            pts.extend((n, m) for m in range(lo, hi + 1))
-        return pts
+                lo = max(0, -(-(rho2 * (n - c) - rho * c) // rho))
+            cols.append((lo, hi))
+        return cols
+
+    def window_points(self) -> list[Point]:
+        """All points of belt /\\ rect(j + k), column by column."""
+        return [(n, m) for n, (lo, hi) in enumerate(self.columns()) for m in range(lo, hi + 1)]
 
     def wrap(self, pt: Point) -> Point:
         """Map an in-belt point beyond rect(j + k) to its window representative
@@ -227,46 +228,110 @@ class QuotientColoring:
         slots, and a point dies once one of its rules counts none.  Each
         reply is resolved once, and looked at again only once, when its slot
         dies, instead of on every re-check of the rules of its point.  A rule
-        with a reply above the belt is always answered and is not counted."""
-        geometry = self.geometry
-        values = {
-            pair: dict.fromkeys(geo.window_points(), True)
-            for pair, geo in geometry.items()
-        }
-        owner: list[tuple[Node, Point]] = []  # per rule, its point
-        live: list[int] = []  # per rule, its slots not yet dead
-        readers: dict[tuple[Node, Point], list[int]] = {}
-        dead: list[tuple[Node, Point]] = []
-        for pair, vals in values.items():
-            for pt in vals:
-                for replies in self._alternatives(pair, pt):
-                    slots: set[tuple[Node, Point]] | None = set()
-                    for tgt, tpt in replies:
-                        res = geometry[tgt].resolve(tpt)
-                        if res is True:  # a reply above the belt answers the rule
-                            slots = None
-                            break
-                        if res is not False:
-                            slots.add((tgt, res))
-                    if slots is None:
+        with a reply above the belt is always answered and is not counted.
+
+        Window points are numbered pair by pair and column by column, in
+        `window_points` order.  Per pair and column n, `lows`, `highs` and
+        `firsts` hold the lowest and highest window m and the number of the
+        column's first point, so a reply landing inside its target's column
+        is numbered by one lookup; only replies outside it (in a zone or
+        beyond the window) go through `PairGeometry.resolve`."""
+        geometry, moves = self.geometry, self.product.moves
+        lows: dict[Node, list[int]] = {}
+        highs: dict[Node, list[int]] = {}
+        firsts: dict[Node, list[int]] = {}
+        size = 0
+        for pair, geo in geometry.items():
+            cols = geo.columns()
+            lows[pair] = [lo for lo, _ in cols]
+            highs[pair] = [hi for _, hi in cols]
+            firsts[pair] = first = []
+            for lo, hi in cols:
+                first.append(size)
+                size += max(0, hi - lo + 1)
+
+        def resolve_id(tgt: Node, n: int, m: int) -> bool | int:
+            res = geometry[tgt].resolve((n, m))
+            if isinstance(res, bool):
+                return res
+            n, m = res
+            if n < len(lows[tgt]) and lows[tgt][n] <= m <= highs[tgt][n]:
+                return firsts[tgt][n] + m - lows[tgt][n]
+            raise GeometryError(f"{tgt}: {res} missing from window")
+
+        values = bytearray(b"\1") * size
+        # Rules live in int arrays, not in lists of int objects, so the solve
+        # needs little more memory than its result; that result holds a dict
+        # entry per window point, which keeps every number far below 2**31.
+        owner = array("i")  # per rule, its point
+        live = array("i")  # per rule, its slots not yet dead
+        read = array("i")  # every rule's slots, rule after rule
+        dead: list[int] = []
+        for pair in geometry:
+            for n, (lo, hi, first) in enumerate(zip(lows[pair], highs[pair], firsts[pair])):
+                # per enabled rule and reply: the m whose reply stays inside
+                # the target's column (a <= m <= b), and its number off + m
+                rules = []
+                for _, d, replies in moves[pair]:
+                    n2 = n + d
+                    if n2 < 0:
                         continue
-                    if not slots:
-                        dead.append((pair, pt))
-                        break
-                    for slot in slots:
-                        readers.setdefault(slot, []).append(len(owner))
-                    owner.append((pair, pt))
-                    live.append(len(slots))
+                    reads = []
+                    for d2, tgt in replies:
+                        if n2 < len(lows[tgt]):
+                            tlo = lows[tgt][n2]
+                            a, b, off = tlo - d2, highs[tgt][n2] - d2, firsts[tgt][n2] - tlo + d2
+                        else:
+                            a, b, off = 1, 0, 0
+                        reads.append((a, b, off, tgt, n2, d2))
+                    rules.append(reads)
+                for m in range(lo, hi + 1):
+                    point = first + m - lo
+                    for reads in rules:
+                        slots: set[int] | None = set()
+                        for a, b, off, tgt, n2, d2 in reads:
+                            if a <= m <= b:
+                                slots.add(off + m)
+                            elif m + d2 >= 0:
+                                res = resolve_id(tgt, n2, m + d2)
+                                if res is True:  # a reply above the belt answers the rule
+                                    slots = None
+                                    break
+                                if res is not False:
+                                    slots.add(res)
+                        if slots is None:
+                            continue
+                        if not slots:
+                            dead.append(point)
+                            break
+                        owner.append(point)
+                        live.append(len(slots))
+                        read.extend(slots)
+        # the rules reading point i are readers[start[i]:start[i + 1]]
+        start = array("i", [0]) * (size + 1)
+        for slot in read:
+            start[slot + 1] += 1
+        start = array("i", accumulate(start))
+        readers = array("i", [0]) * len(read)
+        fill = start[:-1]
+        for slot, rule in zip(read, chain.from_iterable(map(repeat, range(len(live)), live))):
+            readers[fill[slot]] = rule
+            fill[slot] += 1
         while dead:
-            pair, pt = key = dead.pop()
-            if not values[pair][pt]:
+            point = dead.pop()
+            if not values[point]:
                 continue
-            values[pair][pt] = False
-            for rule in readers.get(key, ()):
+            values[point] = 0
+            for rule in readers[start[point] : start[point + 1]]:
                 live[rule] -= 1
                 if not live[rule]:
                     dead.append(owner[rule])
-        return values
+        out: dict[Node, dict[Point, bool]] = {}
+        for pair, geo in geometry.items():
+            pts = geo.window_points()
+            base = firsts[pair][0] if pts else 0
+            out[pair] = dict(zip(pts, map(bool, values[base : base + len(pts)])))
+        return out
 
     # -- verification --------------------------------------------------------
 
@@ -764,7 +829,21 @@ class StrongSimEngine:
         if zone is not None:
             return zone
         attractor_feasible = max(pt) <= 4 * self.limits.max_rect
-        for j, k, depth in self.schedule:
+        belt, l0 = self._belts[pair], (self.w, self.w)
+        for rnd, (j, k, depth) in enumerate(self.schedule):
+            # past round 0, a point inside a window whose coloring is not
+            # built yet asks the attractor first: the point's attractor table
+            # exists from the earlier round, and a Spoiler win saves the
+            # build.  Round 0's coloring is built for any belt point, whoever
+            # wins it: `export_coloring` and `check --json` need it anyway.
+            spoiler_first = (
+                rnd > 0
+                and attractor_feasible
+                and (j, k) not in self.colorings
+                and PairGeometry(pair, belt.slope, belt.c, l0, j, k).in_window(pt)
+            )
+            if spoiler_first and self.spoiler_rank(pair, pt, depth) is not None:
+                return False
             col = self.coloring(j, k)
             if col.certified_yes and col.lookup(pair, pt):
                 return True
@@ -773,7 +852,7 @@ class StrongSimEngine:
             outside = not col.geometry[pair].in_window(pt)
             if (outside or not attractor_feasible) and self._ensure_exact(col):
                 return col.lookup(pair, pt)
-            if attractor_feasible and self.spoiler_rank(pair, pt, depth) is not None:
+            if attractor_feasible and not spoiler_first and self.spoiler_rank(pair, pt, depth) is not None:
                 return False
         # every round's coloring is built by now, so this builds nothing
         col = self.certified_coloring()

@@ -34,3 +34,30 @@ def random_net(
 def random_pair(seed: int, **kw) -> tuple[Ocn, Ocn]:
     rng = random.Random(seed)
     return random_net(rng, "s", **kw), random_net(rng, "d", **kw)
+
+
+def tau_cyclic_pair(seed: int) -> tuple[Ocn, Ocn]:
+    """Two-state random nets plus tau edges both ways between distinct
+    Duplicator states, so tau cycles (and pumping) occur."""
+    rng = random.Random(seed)
+    sp, dup0 = random_pair(seed, max_states=2)
+    extra = tuple(
+        (s, "tau", rng.choice((-1, 0, 1)), t)
+        for s in dup0.states
+        for t in dup0.states
+        if s != t and rng.random() < 0.5
+    )
+    dup = Ocn(
+        dup0.name, dup0.states, tuple(sorted({*dup0.actions, "tau"})), dup0.transitions + extra
+    )
+    return sp, dup
+
+
+def chain_pair(n: int, cycle: bool = False) -> tuple[Ocn, Ocn]:
+    """The chain `s0 a 0 s1 ... s(n-1)` ending in an `a 0` self-loop, or,
+    as the n-cycle, in `s(n-1) a +1 s0`, against `d a -1 d`."""
+    states = tuple(f"s{i}" for i in range(n))
+    trans = [(f"s{i}", "a", 0, f"s{i + 1}") for i in range(n - 1)]
+    trans.append((f"s{n - 1}", "a", 1, "s0") if cycle else (f"s{n - 1}", "a", 0, f"s{n - 1}"))
+    spoiler = Ocn("C" if cycle else "L", states, ("a",), tuple(trans))
+    return spoiler, Ocn("D", ("d",), ("a",), (("d", "a", -1, "d"),))

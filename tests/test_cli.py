@@ -55,6 +55,11 @@ def test_check_json_schema():
     # a zone answer builds no coloring, so it reports none
     obj = json.loads(run("check", "--json", A, ACOPY, "p:0", "q:100").output)
     assert obj["verdict"] == "true" and obj["j"] is None and obj["k"] is None
+    # a belt point builds round 0's coloring even when the attractor refutes it
+    res = run("check", "--json", A, ACOPY, "p:5", "q:4")
+    obj = json.loads(res.output)
+    assert res.exit_code == 1
+    assert (obj["verdict"], obj["j"], obj["k"]) == ("false", 27, 1)
 
 
 def test_check_weak():

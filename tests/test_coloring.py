@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from nets import NET_A, NET_ACOPY, NET_B, NET_Z, random_pair
+from nets import NET_A, NET_ACOPY, NET_B, NET_Z, chain_pair, random_pair, tau_cyclic_pair
 from ocnsim.core import Config, NetError, Ocn, build_product, normalize_pair
 from ocnsim.coloring import (
     MAX_ROUNDS,
@@ -19,6 +19,7 @@ from ocnsim.coloring import (
 )
 from ocnsim.geometry import Slope, c_above, c_below
 from ocnsim.oracle import bounded_round_winner
+from ocnsim.weaksim import converge_weak
 
 
 def _engine(spoiler, duplicator, **kw):
@@ -259,15 +260,40 @@ def _kleene(product, geometry):
     return col.values
 
 
+def _assert_greatest_fixpoint(eng, rnd, case):
+    j, k, _ = eng.schedule[rnd]
+    col = eng.coloring(j, k)
+    for pair, geo in col.geometry.items():
+        # false_points follows this order, and it orders the attractor's goals
+        assert list(col.values[pair]) == geo.window_points(), (case, pair)
+    assert col.values == _kleene(eng.product, col.geometry), case
+    return col
+
+
 def test_quotient_values_are_the_greatest_fixpoint():
     # the second round's windows of seeds 6, 12 and 27 (and the first of 15
     # and 19) have rules with two replies wrapping onto one window point
     cases = [(seed, 0) for seed in range(40)] + [(seed, 1) for seed in (6, 12, 27)]
     for seed, rnd in cases:
-        eng = _engine(*random_pair(seed))
-        j, k, _ = eng.schedule[rnd]
-        col = eng.coloring(j, k)
-        assert col.values == _kleene(eng.product, col.geometry), (seed, rnd)
+        _assert_greatest_fixpoint(_engine(*random_pair(seed)), rnd, (seed, rnd))
+
+
+def test_quotient_values_are_the_greatest_fixpoint_on_chains_and_cycles():
+    # every pair's belt has c = K, so the windows are large for small nets
+    for n in (5, 10, 20):
+        for cycle in (False, True):
+            _assert_greatest_fixpoint(_engine(*chain_pair(n, cycle)), 0, (n, cycle))
+
+
+def test_quotient_values_are_the_greatest_fixpoint_on_converged_engines():
+    for seed in range(10):
+        eng = converge_weak(*tau_cyclic_pair(seed)).engine
+        col = _assert_greatest_fixpoint(eng, 0, seed)
+        if seed == 7:
+            # a window of k = 1 whose pairs mostly have slope (1, 1): most
+            # of its points have a reply that wraps
+            assert eng.schedule[0][1] == 1
+            assert sum(geo.slope == Slope(1, 1) for geo in col.geometry.values()) >= 10
 
 
 def test_window_points_match_zone_predicates():
@@ -488,6 +514,22 @@ def test_decide_strong_huge_counters():
     assert eng.decide(("p", big), ("q", big)) is True
     assert eng.decide(("p", big + 1), ("q", big)) is False
     assert eng.decide(("p", big), ("q", 3)) is False
+
+
+def test_spoiler_win_past_round_0_builds_no_further_coloring():
+    # p:5 q:4 and p:33 q:32 lie in the belt inside the windows of rounds 0
+    # and 1.  Any belt point builds round 0's coloring; Spoiler wins from
+    # p:33 q:32 in 33 rounds, past round 0's depth, so round 1 asks the
+    # attractor before it builds its own coloring, and needs none.
+    eng = _engine(NET_A, NET_ACOPY)
+    (j0, k0, _), (j1, k1, depth1) = eng.schedule[:2]
+    assert eng._belts[("p", "q")].zone((5, 4)) is None
+    assert eng.decide(("p", 5), ("q", 4)) is False
+    assert list(eng.colorings) == [(j0, k0)]
+    assert eng._belts[("p", "q")].zone((33, 32)) is None
+    assert eng.decide(("p", 33), ("q", 32)) is False
+    assert eng.spoiler_rank(("p", "q"), (33, 32), depth1) == 33
+    assert list(eng.colorings) == [(j0, k0)] and (j1, k1) != (j0, k0)
 
 
 def test_belt_point_beyond_the_window_needs_no_deep_attractor():

@@ -1,7 +1,7 @@
 import random
 
 from cli_runner import run
-from nets import NET_A, random_pair
+from nets import NET_A, random_pair, tau_cyclic_pair
 from ocnsim.core import Config, Ocn, format_net
 from ocnsim.coloring import StrongSimEngine
 from ocnsim.oracle import bounded_weak_round_winner
@@ -226,30 +226,13 @@ def test_decide_weak_matches_bounded_oracle_on_tau_acyclic():
                         )
 
 
-def _tau_cyclic(seed: int) -> tuple[Ocn, Ocn]:
-    """Two-state random nets plus tau edges both ways between distinct
-    Duplicator states, so tau cycles (and pumping) occur."""
-    rng = random.Random(seed)
-    sp, dup0 = random_pair(seed, max_states=2)
-    extra = tuple(
-        (s, "tau", rng.choice((-1, 0, 1)), t)
-        for s in dup0.states
-        for t in dup0.states
-        if s != t and rng.random() < 0.5
-    )
-    dup = Ocn(
-        dup0.name, dup0.states, tuple(sorted({*dup0.actions, "tau"})), dup0.transitions + extra
-    )
-    return sp, dup
-
-
 def test_converged_false_answers_are_spoiler_wins_on_tau_cyclic():
     # A tau cap only weakens Duplicator, so the bounded oracle can refute no
     # true answer, but every false answer must be a Spoiler win in it.
     # Two-state nets keep the approximants small.
     falses = 0
     for seed in range(12):
-        sp, dup = _tau_cyclic(seed)
+        sp, dup = tau_cyclic_pair(seed)
         conv = converge_weak(sp, dup)
         eng = conv.engine
         # the slope game's phase guard reads the rooted product's K
@@ -321,7 +304,7 @@ def test_one_engine_per_level_answers_as_the_last_level(monkeypatch):
         return StrongSimEngine(*args, **kwargs)
 
     monkeypatch.setattr(weaksim, "StrongSimEngine", counting)
-    cases = [_omega_into_y(), *map(_tau_cyclic, range(12)), *map(random_pair, range(6))]
+    cases = [_omega_into_y(), *map(tau_cyclic_pair, range(12)), *map(random_pair, range(6))]
     live_changes = 0
     for sp, dup in cases:
         built.clear()
@@ -374,7 +357,7 @@ def test_tau_acyclic_duplicator_converges_at_level_one(monkeypatch):
 def test_approximants_hold_only_enterable_gadgets():
     # every gadget state of every level lies on the chain of a gadget whose
     # entry some script action reaches
-    for nets_pair in [_omega_into_y(), *map(_tau_cyclic, range(12))]:
+    for nets_pair in [_omega_into_y(), *map(tau_cyclic_pair, range(12))]:
         conv = converge_weak(*nets_pair)
         for nets in conv.approximants:
             sp = nets.spoiler
