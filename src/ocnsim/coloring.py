@@ -715,6 +715,12 @@ class EngineLimits:
         spoiler_depth_cap: int = spoiler_depth_cap,
         max_rect: int = max_rect,
     ) -> None:
+        if not k_schedule or min(k_schedule) < 1:
+            raise ValueError(f"k_schedule needs periods of at least 1, got {k_schedule!r}")
+        if spoiler_depth_cap < 0:
+            raise ValueError(f"spoiler_depth_cap must be non-negative, got {spoiler_depth_cap}")
+        if max_rect < 0:
+            raise ValueError(f"max_rect must be non-negative, got {max_rect}")
         self.k_schedule = k_schedule
         self.spoiler_depth_cap = spoiler_depth_cap
         self.max_rect = max_rect
@@ -748,9 +754,7 @@ class StrongSimEngine:
         self.scans: dict[Node, PairScan] = {
             v: scan_pair(v, self.reps, self.solver) for v in self.product.nodes
         }
-        self.c_pair = {
-            node: max(scan.c_above, scan.c_below) for node, scan in self.scans.items()
-        }
+        self.c_pair = {node: scan.c for node, scan in self.scans.items()}
         self._belts = {
             node: Belt(node, scan.boundary, self.c_pair[node]) for node, scan in self.scans.items()
         }

@@ -180,39 +180,24 @@ Move = tuple[str, int, tuple[tuple[int, Node], ...]]
 class ProductGraph:
     """Synchronized control graph of a Spoiler/Duplicator net pair.
 
-    Its one edge table is `moves`: per pair, each Spoiler rule with
-    Duplicator's same-action replies.  K is the number of control-state
-    pairs.
+    Its one edge table is `moves`: per pair, each Spoiler rule (action,
+    delta) with Duplicator's same-action replies (delta', successor pair).
+    Both levels follow net transition order, which fixes the order the games
+    explore, and a Spoiler rule that Duplicator cannot answer keeps an empty
+    reply tuple.  The pairs follow the full product's order; K is their
+    number.  `successors` and the strongly connected components `sccs` are
+    derived from `moves` once, on first use.
     """
 
     __setattr__ = _read_only
 
-    def __init__(self, nodes: tuple[Node, ...], spoiler: Ocn, duplicator: Ocn) -> None:
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "spoiler", spoiler)
-        object.__setattr__(self, "duplicator", duplicator)
+    def __init__(self, moves: dict[Node, tuple[Move, ...]]) -> None:
+        object.__setattr__(self, "moves", moves)
+        object.__setattr__(self, "nodes", tuple(moves))
 
     @property
     def K(self) -> int:
         return len(self.nodes)
-
-    @cached_property
-    def moves(self) -> dict[Node, tuple[Move, ...]]:
-        """The one-round rules of every pair: per Spoiler rule (action, delta),
-        Duplicator's same-action replies (delta', successor pair).
-
-        Both levels follow net transition order, which fixes the order the
-        games explore.  A Spoiler rule that Duplicator cannot answer keeps an
-        empty reply tuple.
-        """
-        replies = self.duplicator.out_by_action
-        return {
-            (q, q2): tuple(
-                (a, d, tuple((d2, (p, p2)) for _, _, d2, p2 in replies.get((q2, a), ())))
-                for _, a, d, p in self.spoiler.out[q]
-            )
-            for q, q2 in self.nodes
-        }
 
     @cached_property
     def successors(self) -> dict[Node, tuple[Node, ...]]:
@@ -221,34 +206,37 @@ class ProductGraph:
             for v, ms in self.moves.items()
         }
 
+    @cached_property
+    def sccs(self) -> list[list[Node]]:
+        """The strongly connected components, in reverse topological order."""
+        return _tarjan_sccs(self.nodes, self.successors)
+
 
 def build_product(
     spoiler_net: Ocn, duplicator_net: Ocn, roots: Iterable[Node] | None = None
 ) -> ProductGraph:
     """Build the product control graph of two nets over a shared alphabet.
 
-    With roots, only the pairs they reach are built, in the full product's
-    order; the result is successor-closed."""
+    One walk from the roots, or from every pair, builds the moves of each
+    pair it reaches; the result keeps the full product's order and is
+    successor-closed."""
     if set(spoiler_net.actions) != set(duplicator_net.actions):
         raise NetError(
             f"alphabet mismatch between {spoiler_net.name} and {duplicator_net.name}"
         )
-    nodes = tuple((p, q) for p in spoiler_net.states for q in duplicator_net.states)
-    if roots is not None:
-        replies = duplicator_net.out_by_action
-        seen: set[Node] = set()
-        todo = list(roots)
-        while todo:
-            v = todo.pop()
-            if v not in seen:
-                seen.add(v)
-                todo.extend(
-                    (p, p2)
-                    for _, a, _, p in spoiler_net.out[v[0]]
-                    for *_, p2 in replies.get((v[1], a), ())
-                )
-        nodes = tuple(v for v in nodes if v in seen)
-    return ProductGraph(nodes, spoiler_net, duplicator_net)
+    replies = duplicator_net.out_by_action
+    nodes = [(p, q) for p in spoiler_net.states for q in duplicator_net.states]
+    found: dict[Node, tuple[Move, ...]] = {}
+    todo = list(nodes if roots is None else roots)
+    while todo:
+        v = todo.pop()
+        if v not in found:
+            found[v] = ms = tuple(
+                (a, d, tuple((d2, (p, p2)) for _, _, d2, p2 in replies.get((v[1], a), ())))
+                for _, a, d, p in spoiler_net.out[v[0]]
+            )
+            todo.extend(w for _, _, rs in ms for _, w in rs)
+    return ProductGraph({v: found[v] for v in nodes if v in found})
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +299,8 @@ def graph_parameters(g: ProductGraph) -> tuple[int, int]:
     (weight = SCC size) minus one; over-estimating only widens belts, which
     keeps the belt constant sound.
     """
-    sccs = _tarjan_sccs(g.nodes, g.successors)
-    comp_of: dict[Node, int] = {}
-    for i, scc in enumerate(sccs):
-        for v in scc:
-            comp_of[v] = i
+    sccs = g.sccs
+    comp_of = {v: i for i, scc in enumerate(sccs) for v in scc}
     scc_max = max((len(s) for s in sccs), default=0)
 
     comp_succ: dict[int, set[int]] = {i: set() for i in range(len(sccs))}

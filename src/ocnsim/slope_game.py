@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Literal
 
-from .core import Node, ProductGraph, _tarjan_sccs, graph_parameters
+from .core import Node, ProductGraph, graph_parameters
 from .geometry import (
     Slope,
     Vec2,
@@ -50,9 +50,10 @@ class SlopeGameSolver:
     """Exhaustive memoized solver for Slope Games over one product graph.
 
     Phase-start values are memoized per (node, gcd-normalized slope); the
-    winner depends only on the slope's direction.  The solver tracks the
-    deepest phase chain it ever explores, which the theory bounds by
-    (K+1)^2.
+    winner depends only on the slope's direction.  A phase keeps its slope,
+    chain depth and position memo to itself, in the closures of
+    `_phase_value`.  The solver tracks the deepest phase chain it ever
+    explores, which the theory bounds by (K+1)^2.
     """
 
     def __init__(self, product: ProductGraph):
@@ -71,95 +72,80 @@ class SlopeGameSolver:
         if chain_depth > self._phase_bound:
             raise RuntimeError(f"phase bound (K+1)^2 = {self._phase_bound} exceeded")
         self.max_phase_depth = max(self.max_phase_depth, chain_depth)
-        key = (node, slope)
-        hit = self._memo.get(key)
+        hit = self._memo.get((node, slope))
         if hit is not None:
             return hit
+        moves = self.product.moves
+        phase_memo: dict = {}
+
         # visited maps each path node to the cumulative effect at its first
         # occurrence; a repeat at w closes a lasso whose cycle effect is the
         # current total minus visited[w]
-        result = self._position_value(
-            node, {node: (0, 0)}, 0, 0, slope, chain_depth, {}
-        )
-        self._memo[key] = result
-        return result
+        def position(at: Node, visited: dict[Node, Vec2], tx: int, ty: int) -> SlopeGameResult:
+            # the subtree value depends only on the endpoint and each visited
+            # node's effect relative to now (what a return there would close)
+            key = (at, frozenset((v, tx - ex, ty - ey) for v, (ex, ey) in visited.items()))
+            hit = phase_memo.get(key)
+            if hit is not None:
+                return hit
+            rules = moves[at]
+            if not rules:
+                # Only reachable on non-normalized inputs: a stuck Spoiler loses.
+                return SlopeGameResult(DUPLICATOR, 1)
+            result: SlopeGameResult | None = None
+            worst_dup = 0
+            for a, d, replies in rules:
+                if not replies:
+                    raise RuntimeError(
+                        f"product graph incomplete: no {a!r}-reply at {at[1]!r} "
+                        "(nets must be normalized)"
+                    )
+                sub = reply(visited, tx, ty, d, replies)
+                if sub.winner == SPOILER:
+                    # any winning rule suffices; its depth is a sound strategy depth
+                    result = sub
+                    break
+                worst_dup = max(worst_dup, sub.segment_depth)
+            if result is None:
+                result = SlopeGameResult(DUPLICATOR, worst_dup)
+            phase_memo[key] = result
+            return result
 
-    def _position_value(
-        self,
-        at: Node,
-        visited: dict[Node, tuple[int, int]],
-        tx: int,
-        ty: int,
-        slope: Slope,
-        chain_depth: int,
-        phase_memo: dict,
-    ) -> SlopeGameResult:
-        # the subtree value depends only on the endpoint and each visited
-        # node's effect relative to now (what a return there would close)
-        key = (at, frozenset((v, tx - ex, ty - ey) for v, (ex, ey) in visited.items()))
-        hit = phase_memo.get(key)
-        if hit is not None:
-            return hit
-        moves = self.product.moves[at]
-        if not moves:
-            # Only reachable on non-normalized inputs: a stuck Spoiler loses.
-            return SlopeGameResult(DUPLICATOR, 1)
-        result: SlopeGameResult | None = None
-        worst_dup = 0
-        for a, d, replies in moves:
-            if not replies:
-                raise RuntimeError(
-                    f"product graph incomplete: no {a!r}-reply at {at[1]!r} "
-                    "(nets must be normalized)"
-                )
-            sub = self._reply_value(
-                at, visited, tx, ty, slope, chain_depth, phase_memo, d, replies
-            )
-            if sub.winner == SPOILER:
-                # any winning rule suffices; its depth is a sound strategy depth
-                result = sub
-                break
-            worst_dup = max(worst_dup, sub.segment_depth)
-        if result is None:
-            result = SlopeGameResult(DUPLICATOR, worst_dup)
-        phase_memo[key] = result
-        return result
-
-    def _reply_value(
-        self,
-        at: Node,
-        visited: dict[Node, tuple[int, int]],
-        tx: int,
-        ty: int,
-        slope: Slope,
-        chain_depth: int,
-        phase_memo: dict,
-        d: int,
-        replies: tuple[tuple[int, Node], ...],
-    ) -> SlopeGameResult:
-        worst_sp = 0
-        # evaluate lasso-closing replies first: they resolve in constant time
-        # and often decide the whole alternative
-        ordered = sorted(replies, key=lambda r: r[1] not in visited)
-        for d2, nxt in ordered:
-            nx, ny = tx + d, ty + d2
-            first = visited.get(nxt)
-            if first is None:
-                sub = self._position_value(
-                    nxt, {**visited, nxt: (nx, ny)}, nx, ny, slope, chain_depth, phase_memo
-                )
-            else:
-                verdict = evaluate_lasso((nx - first[0], ny - first[1]), slope)
-                if isinstance(verdict, Slope):
-                    inner = self._phase_value(nxt, verdict, chain_depth + 1)
-                    sub = SlopeGameResult(inner.winner, inner.segment_depth + 1)
+        def reply(
+            visited: dict[Node, Vec2],
+            tx: int,
+            ty: int,
+            d: int,
+            replies: tuple[tuple[int, Node], ...],
+        ) -> SlopeGameResult:
+            worst_sp = 0
+            # evaluate lasso-closing replies first: they resolve in constant time
+            # and often decide the whole alternative
+            for d2, nxt in sorted(replies, key=lambda r: r[1] not in visited):
+                nx, ny = tx + d, ty + d2
+                first = visited.get(nxt)
+                if first is None:
+                    sub = position(nxt, {**visited, nxt: (nx, ny)}, nx, ny)
                 else:
-                    sub = SlopeGameResult(verdict, 1)
-            if sub.winner == DUPLICATOR:
-                # any winning reply suffices; its depth is a sound strategy depth
-                return sub
-            worst_sp = max(worst_sp, sub.segment_depth)
-        return SlopeGameResult(SPOILER, worst_sp)
+                    verdict = evaluate_lasso((nx - first[0], ny - first[1]), slope)
+                    if isinstance(verdict, Slope):
+                        inner = self._phase_value(nxt, verdict, chain_depth + 1)
+                        sub = SlopeGameResult(inner.winner, inner.segment_depth + 1)
+                    else:
+                        sub = SlopeGameResult(verdict, 1)
+                if sub.winner == DUPLICATOR:
+                    # any winning reply suffices; its depth is a sound strategy depth
+                    return sub
+                worst_sp = max(worst_sp, sub.segment_depth)
+            return SlopeGameResult(SPOILER, worst_sp)
+
+        result = position(node, {node: (0, 0)}, 0, 0)
+        # the closures reach each other (and the phase memo) through their
+        # cells; emptying the cells lets reference counting free the phase
+        # at once instead of leaving it to the cycle collector
+        del position, reply
+        self._memo[node, slope] = result
+        return result
 
 
 def cycle_effect_candidates(g: ProductGraph) -> set[Vec2]:
@@ -170,10 +156,9 @@ def cycle_effect_candidates(g: ProductGraph) -> set[Vec2]:
     only refines the angular equivalence classes, which keeps the boundary
     scan sound.  Effects stay within [-K, K]^2 by construction.
     """
-    sccs = _tarjan_sccs(g.nodes, g.successors)
-    comp_of = {v: i for i, scc in enumerate(sccs) for v in scc}
+    comp_of = {v: i for i, scc in enumerate(g.sccs) for v in scc}
     effects: set[Vec2] = set()
-    for scc in sccs:
+    for scc in g.sccs:
         comp = comp_of[scc[0]]
         for anchor in scc:
             # closed walks stay within the anchor's SCC, so the simple-cycle
@@ -209,23 +194,18 @@ class RepOutcome:
 
 class PairScan:
     """Slope-game outcomes for one state pair across all representatives,
-    condensed to the boundary slope and the margins the key lemmas certify."""
+    condensed to the boundary slope and the belt margin c the key lemmas
+    certify on both sides of it."""
 
-    __slots__ = ("node", "boundary", "outcomes", "c_above", "c_below")
+    __slots__ = ("node", "boundary", "outcomes", "c")
 
     def __init__(
-        self,
-        node: Node,
-        boundary: Slope,
-        outcomes: tuple[RepOutcome, ...],
-        c_above: int,  # K * depth of the first Duplicator-won representative
-        c_below: int,  # K * depth of the last Spoiler-won representative
+        self, node: Node, boundary: Slope, outcomes: tuple[RepOutcome, ...], c: int
     ) -> None:
         self.node = node
         self.boundary = boundary
         self.outcomes = outcomes
-        self.c_above = c_above
-        self.c_below = c_below
+        self.c = c
 
 
 def scan_pair(node: Node, reps: list[Slope], solver: SlopeGameSolver) -> PairScan:
@@ -234,8 +214,9 @@ def scan_pair(node: Node, reps: list[Slope], solver: SlopeGameSolver) -> PairSca
     Spoiler-won slopes form a prefix of the steepness-ordered scan and
     Duplicator-won slopes a suffix (monotonicity); the boundary is the
     infimum of the Duplicator-won region, reported as the class boundary
-    below the first Duplicator win.  Margins multiply segment depths by
-    the solver's product size K.
+    below the first Duplicator win.  The margin c is the larger of the
+    segment depths of the first Duplicator-won and the last Spoiler-won
+    representative, times the solver's product size K.
     """
     outcomes = []
     for s in reps:
@@ -245,23 +226,19 @@ def scan_pair(node: Node, reps: list[Slope], solver: SlopeGameSolver) -> PairSca
         if earlier.winner == DUPLICATOR and later.winner == SPOILER:
             raise RuntimeError(f"slope-game monotonicity violated at {node}")
     first_dup = next((i for i, o in enumerate(outcomes) if o.winner == DUPLICATOR), None)
-    K = solver.product.K
     if first_dup is None:
-        boundary = Slope(0, 1)
-        c_below = K * outcomes[-1].segment_depth
-        c_above = c_below  # the above-zone of a vertical slope is empty
+        # no Duplicator win: the above-zone of a vertical slope is empty
+        boundary, depth = Slope(0, 1), outcomes[-1].segment_depth
     elif first_dup == 0:
-        boundary = Slope(1, 0)
-        c_above = K * outcomes[0].segment_depth
-        c_below = c_above  # the below-zone of a horizontal slope is empty
+        # no Spoiler win: the below-zone of a horizontal slope is empty
+        boundary, depth = Slope(1, 0), outcomes[0].segment_depth
     else:
         # Criticals sit at even indices, mediants at odd ones; the infimum of
         # the Duplicator-won region is the critical at or below the first win.
-        win = outcomes[first_dup]
-        boundary = win.slope if first_dup % 2 == 0 else outcomes[first_dup - 1].slope
-        c_above = K * win.segment_depth
-        c_below = K * outcomes[first_dup - 1].segment_depth
-    return PairScan(node, boundary, tuple(outcomes), c_above, c_below)
+        win, lose = outcomes[first_dup], outcomes[first_dup - 1]
+        boundary = win.slope if first_dup % 2 == 0 else lose.slope
+        depth = max(win.segment_depth, lose.segment_depth)
+    return PairScan(node, boundary, tuple(outcomes), solver.product.K * depth)
 
 
 def belt_constant(g: ProductGraph) -> int:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from nets import NET_A, NET_ACOPY, NET_B, NET_Z, chain_pair, random_pair, tau_cyclic_pair
+from ocnsim import core
 from ocnsim.core import Config, NetError, Ocn, build_product, normalize_pair
 from ocnsim.coloring import (
     MAX_ROUNDS,
@@ -453,6 +454,38 @@ def test_decide_rejects_negative_counters(left, right):
     match = "unknown state pair" if left[0] == "x" else "non-negative"
     with pytest.raises(NetError, match=match):
         _engine(NET_A, NET_ACOPY).decide(left, right)
+
+
+@pytest.mark.parametrize(
+    "limits",
+    [
+        {"k_schedule": ()},
+        {"k_schedule": (0,)},
+        {"k_schedule": (1, -2)},
+        {"spoiler_depth_cap": -1},
+        {"max_rect": -3},
+    ],
+)
+def test_engine_limits_reject_values_that_crash_the_engine(limits):
+    # an empty schedule raised IndexError in the engine and a period of 0
+    # ZeroDivisionError in a wrap
+    with pytest.raises(ValueError):
+        EngineLimits(**limits)
+
+
+def test_engine_runs_one_scc_pass(monkeypatch):
+    calls = []
+    tarjan = core._tarjan_sccs
+
+    def counted(*args):
+        calls.append(args)
+        return tarjan(*args)
+
+    monkeypatch.setattr(core, "_tarjan_sccs", counted)
+    for seed in range(6):
+        calls.clear()
+        _engine(*random_pair(seed))
+        assert len(calls) == 1, seed
 
 
 def test_schedule_reaches_every_default_period():

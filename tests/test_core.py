@@ -140,18 +140,29 @@ def test_build_product_edge_count_formula():
 
 
 def test_product_moves_follow_transition_order():
-    for seed in range(20):
+    # with roots, the product is the part of the full product they reach
+    for seed in range(40):
         sn, dn = normalize_pair(*random_pair(seed))
-        g = build_product(sn, dn)
-        for q, q2 in g.nodes:
-            expected = []
-            for s, a, d, p in sn.transitions:
-                if s == q:
-                    replies = [
-                        (d2, (p, p2)) for s2, b, d2, p2 in dn.transitions if (s2, b) == (q2, a)
-                    ]
-                    expected.append((a, d, tuple(replies)))
-            assert g.moves[(q, q2)] == tuple(expected)
+        full = [(q, q2) for q in sn.states for q2 in dn.states]
+        rng = random.Random(seed)
+        for roots in (None, full[:1], full[-1:], rng.sample(full, min(2, len(full)))):
+            expected, todo = {}, list(full if roots is None else roots)
+            while todo:
+                q, q2 = v = todo.pop()
+                if v in expected:
+                    continue
+                rules = []
+                for s, a, d, p in sn.transitions:
+                    if s == q:
+                        replies = [
+                            (d2, (p, p2)) for s2, b, d2, p2 in dn.transitions if (s2, b) == (q2, a)
+                        ]
+                        rules.append((a, d, tuple(replies)))
+                        todo.extend(w for _, w in replies)
+                expected[v] = tuple(rules)
+            g = build_product(sn, dn, roots)
+            assert g.nodes == tuple(v for v in full if v in expected)
+            assert g.moves == expected
 
 
 def test_product_moves_keep_unanswered_rules():
