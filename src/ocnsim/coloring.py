@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import copy
 from array import array
+from bisect import bisect_right
 from collections import deque
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from math import ceil
 from operator import mul, sub
 
@@ -224,31 +225,52 @@ class QuotientColoring:
 
     def _solve(self) -> dict[Node, dict[Point, bool]]:
         """The counter worklist of Henzinger-Henzinger-Kopke and Liu-Smolka:
-        every Spoiler rule of a window point counts its distinct live reply
-        slots, and a point dies once one of its rules counts none.  Each
-        reply is resolved once, and looked at again only once, when its slot
-        dies, instead of on every re-check of the rules of its point.  A rule
-        with a reply above the belt is always answered and is not counted.
+        every Spoiler rule of a window point counts its live replies, one per
+        occurrence, and a point dies once one of its rules counts none.  Each
+        reply is resolved once, and looked at again only once, when the point
+        it reaches dies, instead of on every re-check of the rules of its
+        point.  A rule with a reply above the belt is always answered and is
+        not counted.
 
         Window points are numbered pair by pair and column by column, in
         `window_points` order.  Per pair and column n, `lows`, `highs` and
         `firsts` hold the lowest and highest window m and the number of the
         column's first point, so a reply landing inside its target's column
         is numbered by one lookup; only replies outside it (in a zone or
-        beyond the window) go through `PairGeometry.resolve`."""
+        beyond the window) go through `PairGeometry.resolve`.  When a point
+        (t, n2, m2) dies, the rules reading it inside its column are found
+        backwards: per target pair, `back` lists the replies into it, and
+        reply d2 of rule r of pair p, whose Spoiler move changes n by d, is
+        read at (p, n2 - d, m2 - d2) if that is a window point.  Only the
+        replies that wrap past the window cap are kept per point, in
+        `wrapped`.
+
+        Rule r of point i is numbered i * R + r, R the largest rule count of
+        any pair, so `live` takes 4 * R bytes per window point, enabled rule
+        or not.  Rule numbers only index `live` and fill the lists of
+        `wrapped`; the `array('i')` holds counts, each at most its rule's
+        reply count, so no number can overflow it.  A window too large for
+        `live` raises MemoryError, which the CLI reports as `undecided`
+        (exit 2)."""
         geometry, moves = self.geometry, self.product.moves
         lows: dict[Node, list[int]] = {}
         highs: dict[Node, list[int]] = {}
         firsts: dict[Node, list[int]] = {}
+        # per non-empty column: the number of its first point, and where it is
+        starts: list[int] = []
+        places: list[tuple[Node, int, int]] = []
         size = 0
         for pair, geo in geometry.items():
             cols = geo.columns()
             lows[pair] = [lo for lo, _ in cols]
             highs[pair] = [hi for _, hi in cols]
             firsts[pair] = first = []
-            for lo, hi in cols:
+            for n, (lo, hi) in enumerate(cols):
                 first.append(size)
-                size += max(0, hi - lo + 1)
+                if lo <= hi:
+                    starts.append(size)
+                    places.append((pair, n, lo))
+                    size += hi - lo + 1
 
         def resolve_id(tgt: Node, n: int, m: int) -> bool | int:
             res = geometry[tgt].resolve((n, m))
@@ -259,73 +281,72 @@ class QuotientColoring:
                 return firsts[tgt][n] + m - lows[tgt][n]
             raise GeometryError(f"{tgt}: {res} missing from window")
 
+        R = max((len(moves[pair]) for pair in geometry), default=0)
+        back: dict[Node, list] = {pair: [] for pair in geometry}
+        for pair in geometry:
+            for r, (_, d, replies) in enumerate(moves[pair]):
+                for d2, tgt in replies:
+                    back[tgt].append((lows[pair], highs[pair], firsts[pair], r, d, d2))
         values = bytearray(b"\1") * size
-        # Rules live in int arrays, not in lists of int objects, so the solve
-        # needs little more memory than its result; that result holds a dict
-        # entry per window point, which keeps every number far below 2**31.
-        owner = array("i")  # per rule, its point
-        live = array("i")  # per rule, its slots not yet dead
-        read = array("i")  # every rule's slots, rule after rule
+        live = array("i", [0]) * (size * R)  # per rule, its replies not yet dead
+        wrapped: dict[int, list[int]] = {}  # per point, the rules reaching it by a wrap
         dead: list[int] = []
         for pair in geometry:
             for n, (lo, hi, first) in enumerate(zip(lows[pair], highs[pair], firsts[pair])):
                 # per enabled rule and reply: the m whose reply stays inside
-                # the target's column (a <= m <= b), and its number off + m
+                # the target's column (a <= m <= b)
                 rules = []
-                for _, d, replies in moves[pair]:
+                for r, (_, d, replies) in enumerate(moves[pair]):
                     n2 = n + d
                     if n2 < 0:
                         continue
                     reads = []
                     for d2, tgt in replies:
                         if n2 < len(lows[tgt]):
-                            tlo = lows[tgt][n2]
-                            a, b, off = tlo - d2, highs[tgt][n2] - d2, firsts[tgt][n2] - tlo + d2
+                            a, b = lows[tgt][n2] - d2, highs[tgt][n2] - d2
                         else:
-                            a, b, off = 1, 0, 0
-                        reads.append((a, b, off, tgt, n2, d2))
-                    rules.append(reads)
+                            a, b = 1, 0
+                        reads.append((a, b, tgt, n2, d2))
+                    rules.append((r, reads))
                 for m in range(lo, hi + 1):
                     point = first + m - lo
-                    for reads in rules:
-                        slots: set[int] | None = set()
-                        for a, b, off, tgt, n2, d2 in reads:
+                    for r, reads in rules:
+                        count = 0
+                        for a, b, tgt, n2, d2 in reads:
                             if a <= m <= b:
-                                slots.add(off + m)
+                                count += 1
                             elif m + d2 >= 0:
                                 res = resolve_id(tgt, n2, m + d2)
                                 if res is True:  # a reply above the belt answers the rule
-                                    slots = None
+                                    # its live count stays 0: deaths only take it below 0
                                     break
                                 if res is not False:
-                                    slots.add(res)
-                        if slots is None:
-                            continue
-                        if not slots:
-                            dead.append(point)
-                            break
-                        owner.append(point)
-                        live.append(len(slots))
-                        read.extend(slots)
-        # the rules reading point i are readers[start[i]:start[i + 1]]
-        start = array("i", [0]) * (size + 1)
-        for slot in read:
-            start[slot + 1] += 1
-        start = array("i", accumulate(start))
-        readers = array("i", [0]) * len(read)
-        fill = start[:-1]
-        for slot, rule in zip(read, chain.from_iterable(map(repeat, range(len(live)), live))):
-            readers[fill[slot]] = rule
-            fill[slot] += 1
+                                    count += 1
+                                    wrapped.setdefault(res, []).append(point * R + r)
+                        else:
+                            if not count:
+                                dead.append(point)
+                                break
+                            live[point * R + r] = count
         while dead:
             point = dead.pop()
             if not values[point]:
                 continue
             values[point] = 0
-            for rule in readers[start[point] : start[point + 1]]:
+            col = bisect_right(starts, point) - 1
+            tgt, n2, lo = places[col]
+            m2 = lo + point - starts[col]
+            for los, his, fis, r, d, d2 in back[tgt]:
+                n, m = n2 - d, m2 - d2
+                if 0 <= n < len(los) and los[n] <= m <= his[n]:
+                    rule = (fis[n] + m - los[n]) * R + r
+                    live[rule] -= 1
+                    if not live[rule]:
+                        dead.append(rule // R)
+            for rule in wrapped.get(point, ()):
                 live[rule] -= 1
                 if not live[rule]:
-                    dead.append(owner[rule])
+                    dead.append(rule // R)
         out: dict[Node, dict[Point, bool]] = {}
         for pair, geo in geometry.items():
             pts = geo.window_points()

@@ -53,6 +53,29 @@ def tau_cyclic_pair(seed: int) -> tuple[Ocn, Ocn]:
     return sp, dup
 
 
+def criterion_7_pairs(count: int) -> list[tuple[Ocn, Ocn]]:
+    """The first `count` instances of acceptance criterion 7: random nets
+    plus tau edges from each Duplicator state to the later ones, so the
+    tau graph is acyclic.  The first five are the weak-converge panel of
+    the benchmark."""
+    rng = random.Random(77)
+    pairs = []
+    for _ in range(count):
+        sp = random_net(rng, "s", max_states=3, actions=("a", "b"))
+        dup0 = random_net(rng, "d", max_states=3, actions=("a", "b"))
+        extra = []
+        for i, s in enumerate(dup0.states):
+            for t in dup0.states[i + 1:]:
+                if rng.random() < 0.5:
+                    extra.append((s, "tau", rng.choice((-1, 0, 1)), t))
+        dup = Ocn(
+            dup0.name, dup0.states, tuple(set(dup0.actions) | {"tau"}),
+            dup0.transitions + tuple(extra),
+        )
+        pairs.append((sp, dup))
+    return pairs
+
+
 def chain_pair(n: int, cycle: bool = False) -> tuple[Ocn, Ocn]:
     """The chain `s0 a 0 s1 ... s(n-1)` ending in an `a 0` self-loop, or,
     as the n-cycle, in `s(n-1) a +1 s0`, against `d a -1 d`."""

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from nets import NET_A, NET_ACOPY, NET_B, NET_Z, random_net
+from nets import NET_A, NET_ACOPY, NET_B, NET_Z, criterion_7_pairs, random_net
 from ocnsim.core import Config, Ocn, normalize_pair
 from ocnsim.coloring import StrongSimEngine, find_equal_cross_sections
 from ocnsim.geometry import Slope, c_above, c_below, is_behind
@@ -255,21 +255,9 @@ def test_criterion_6_periodicity(suite):
 
 
 def test_criterion_7_weak_simulation():
-    rng = random.Random(77)
     mismatches = []
     table_failures = []
-    for trial in range(25):
-        sp = random_net(rng, "s", max_states=3, actions=("a", "b"))
-        dup0 = random_net(rng, "d", max_states=3, actions=("a", "b"))
-        extra = []
-        for i, s in enumerate(dup0.states):
-            for t in dup0.states[i + 1:]:
-                if rng.random() < 0.5:
-                    extra.append((s, "tau", rng.choice((-1, 0, 1)), t))
-        dup = Ocn(
-            dup0.name, dup0.states, tuple(set(dup0.actions) | {"tau"}),
-            dup0.transitions + tuple(extra),
-        )
+    for trial, (sp, dup) in enumerate(criterion_7_pairs(25)):
         conv = converge_weak(sp, dup)
         table = conv.table
         if not (

@@ -4,7 +4,16 @@ import random
 
 import pytest
 
-from nets import NET_A, NET_ACOPY, NET_B, NET_Z, chain_pair, random_pair, tau_cyclic_pair
+from nets import (
+    NET_A,
+    NET_ACOPY,
+    NET_B,
+    NET_Z,
+    chain_pair,
+    criterion_7_pairs,
+    random_pair,
+    tau_cyclic_pair,
+)
 from ocnsim import core
 from ocnsim.core import Config, NetError, Ocn, build_product, normalize_pair
 from ocnsim.coloring import (
@@ -295,6 +304,44 @@ def test_quotient_values_are_the_greatest_fixpoint_on_converged_engines():
             # of its points have a reply that wraps
             assert eng.schedule[0][1] == 1
             assert sum(geo.slope == Slope(1, 1) for geo in col.geometry.values()) >= 10
+
+
+def test_quotient_values_are_the_greatest_fixpoint_on_the_weak_panel():
+    # criterion 7's first five nets, the weak-converge panel of the
+    # benchmark: 12,407 window points at round 0
+    points = 0
+    for i, (sp, dup) in enumerate(criterion_7_pairs(5)):
+        col = _assert_greatest_fixpoint(converge_weak(sp, dup).engine, 0, i)
+        points += sum(map(len, col.values.values()))
+    assert points == 12407
+
+
+def _listed_twice(net, i):
+    """The net with its i-th transition listed again right after itself."""
+    t = net.transitions
+    return Ocn(net.name, net.states, net.actions, t[: i + 1] + t[i:])
+
+
+@pytest.mark.parametrize("side", ["spoiler", "duplicator"])
+def test_quotient_counts_every_occurrence_of_a_reply(side):
+    # seed 6: with a Duplicator transition listed twice, a rule reads that
+    # reply twice, so counting distinct replies but each death once per
+    # occurrence, or the other way round, changes the values; a Spoiler
+    # rule listed twice is two rules of the same points
+    sp, dup = random_pair(6)
+    nets = (_listed_twice(sp, 0), dup) if side == "spoiler" else (sp, _listed_twice(dup, 0))
+    eng = _engine(*nets)
+    rules = eng.product.moves.values()
+    if side == "spoiler":
+        assert any(len(r) > len(set(r)) for r in rules)
+    else:
+        assert any(len(replies) > len(set(replies)) for r in rules for _, _, replies in r)
+    once = _assert_greatest_fixpoint(_engine(sp, dup), 0, side)
+    twice = _assert_greatest_fixpoint(eng, 0, side)
+    assert [list(v.items()) for v in twice.values.values()] == [
+        list(v.items()) for v in once.values.values()
+    ]
+    assert not all(v for vals in twice.values.values() for v in vals.values())
 
 
 def test_window_points_match_zone_predicates():
