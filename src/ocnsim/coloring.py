@@ -5,19 +5,19 @@ Spoiler-won zone (both certified by Slope Game strategies and the key replay
 lemmas) and a belt strip around the pair's boundary slope.  Belt points are
 colored by a finite quotient game: points beyond a rectangle rect(j) are
 identified with their k*slope translates, and the greatest fixpoint of the
-one-step simulation condition is computed over the resulting window.  The
-result is always a sound under-approximation of the simulation preorder and
-is exact once (j, k) are large enough; verification makes that checkable.
+one-step simulation condition is computed over the resulting window, as one
+threshold per window column, since simulation is upward closed in
+Duplicator's counter.  The result is always a sound under-approximation of
+the simulation preorder and is exact once (j, k) are large enough;
+verification makes that checkable.
 """
 
 from __future__ import annotations
 
 import copy
-from array import array
-from bisect import bisect_right
 from collections import deque
 from itertools import chain, repeat
-from math import ceil
+from math import ceil, inf
 from operator import mul, sub
 
 from .core import (
@@ -113,23 +113,23 @@ class PairGeometry(Belt):
     def in_window(self, pt: Point) -> bool:
         return pt[0] <= self.cap[0] and pt[1] <= self.cap[1]
 
+    def span(self, n: int) -> tuple[float, float]:
+        """The lowest and highest m of the belt in column n, not clipped to
+        the window: a vertical belt has no above-zone (highest m inf), and
+        its columns beyond c are below-zone (lowest m inf)."""
+        rho, rho2, c = self.slope.rho, self.slope.rho_prime, self.c
+        if rho == 0:
+            return (0, inf) if n <= c else (inf, inf)
+        lo = 0 if rho2 == 0 or n <= c else max(0, -(-(rho2 * (n - c) - rho * c) // rho))
+        return lo, (rho2 * (n + c)) // rho + c
+
     def columns(self) -> list[tuple[int, int]]:
         """Per column n of belt /\\ rect(j + k), its lowest and highest m
         (lowest above highest when the column is empty)."""
-        rho, rho2 = self.slope.rho, self.slope.rho_prime
         X, Y = self.cap
-        c = self.c
-        if rho == 0:  # vertical belt: columns beyond c are below-zone
-            return [(0, Y)] * (min(X, c) + 1)
-        cols = []
-        for n in range(0, X + 1):
-            hi = min(Y, (rho2 * (n + c)) // rho + c)
-            if rho2 == 0 or n <= c:
-                lo = 0
-            else:
-                lo = max(0, -(-(rho2 * (n - c) - rho * c) // rho))
-            cols.append((lo, hi))
-        return cols
+        if self.slope.rho == 0:  # vertical belt: columns beyond c are below-zone
+            return [(0, Y)] * (min(X, self.c) + 1)
+        return [(lo, min(Y, hi)) for lo, hi in map(self.span, range(X + 1))]
 
     def window_points(self) -> list[Point]:
         """All points of belt /\\ rect(j + k), column by column."""
@@ -185,8 +185,9 @@ class QuotientColoring:
     """A periodic coloring: per pair, the window values of the quotient-game
     greatest fixpoint, looked up through the zones and the k*slope wrap.
 
-    The values are solved on construction unless given, as when checking an
-    exported coloring.
+    The values are solved on construction, as one threshold per window
+    column expanded to the column's points, unless given, as when checking
+    an exported coloring.
     """
 
     def __init__(
@@ -224,134 +225,111 @@ class QuotientColoring:
     # -- greatest fixpoint ---------------------------------------------------
 
     def _solve(self) -> dict[Node, dict[Point, bool]]:
-        """The counter worklist of Henzinger-Henzinger-Kopke and Liu-Smolka:
-        every Spoiler rule of a window point counts its live replies, one per
-        occurrence, and a point dies once one of its rules counts none.  Each
-        reply is resolved once, and looked at again only once, when the point
-        it reaches dies, instead of on every re-check of the rules of its
-        point.  A rule with a reply above the belt is always answered and is
-        not counted.
+        """A worklist over window columns.  Simulation is upward closed in
+        Duplicator's counter (the monotonicity lemma that `SpoilerAttractor`
+        proves for Spoiler's wins), so the solver keeps, per pair p and
+        window column n, one threshold g[p][n], the least true m.  Every
+        column starts at its lowest m, all true, and g rises, clipped to the
+        column's highest m plus one, to the max over the Spoiler rules
+        enabled at n of the min over their replies (d2, t) of the reply's
+        read threshold minus d2.
 
-        Window points are numbered pair by pair and column by column, in
-        `window_points` order.  Per pair and column n, `lows`, `highs` and
-        `firsts` hold the lowest and highest window m and the number of the
-        column's first point, so a reply landing inside its target's column
-        is numbered by one lookup; only replies outside it (in a zone or
-        beyond the window) go through `PairGeometry.resolve`.  When a point
-        (t, n2, m2) dies, the rules reading it inside its column are found
-        backwards: per target pair, `back` lists the replies into it, and
-        reply d2 of rule r of pair p, whose Spoiler move changes n by d, is
-        read at (p, n2 - d, m2 - d2) if that is a window point.  Only the
-        replies that wrap past the window cap are kept per point, in
-        `wrapped`.
+        A read walks target column n2 = n + d of t down from the top of the
+        reader's range, m2 = hi + d2, and stops at the first false point;
+        its threshold is the m2 just above that point.  Down the column lie
+        the above-zone (true), the wrap bands beyond the window cap, the
+        window column, and the below-zone (false, as is m2 < 0).  The
+        window column is true from g[t][n2] up, and band s, whose points
+        `PairGeometry.wrap` shifts by s*k*slope, from
+        g[t][n2 - s*k*rho] + s*k*rho' up.  Each window column a read
+        touches records the reading column, which is queued again whenever
+        that column's threshold rises.  Every reply of every rule is read
+        and recorded, with no early exit from the min, so no rise that
+        could matter goes unseen.
 
-        Rule r of point i is numbered i * R + r, R the largest rule count of
-        any pair, so `live` takes 4 * R bytes per window point, enabled rule
-        or not.  Rule numbers only index `live` and fill the lists of
-        `wrapped`; the `array('i')` holds counts, each at most its rule's
-        reply count, so no number can overflow it.  A window too large for
-        `live` raises MemoryError, which the CLI reports as `undecided`
-        (exit 2)."""
+        Thresholds only rise, each to a value its reads force, so the result
+        is the least thresholds whose columns all satisfy the one-step
+        condition.  Such a coloring is a post-fixed point, so it lies under
+        the greatest fixpoint of the point game and `true` is always sound.
+        It is that fixpoint whenever every read range is upward closed,
+        which the `_kleene` reference of the tests checks.  The solver's
+        state is per column; only the expanded `values`, in `window_points`
+        order, are per point."""
         geometry, moves = self.geometry, self.product.moves
-        lows: dict[Node, list[int]] = {}
-        highs: dict[Node, list[int]] = {}
-        firsts: dict[Node, list[int]] = {}
-        # per non-empty column: the number of its first point, and where it is
-        starts: list[int] = []
-        places: list[tuple[Node, int, int]] = []
-        size = 0
+        # per pair: the number of its column 0, its columns' highest m, and
+        # what a read past them needs of its geometry
+        targets: dict[Node, tuple] = {}
+        places: list[tuple[Node, int, int]] = []  # per column: pair, n, highest m
+        g: list[int] = []  # per column: its threshold
         for pair, geo in geometry.items():
             cols = geo.columns()
-            lows[pair] = [lo for lo, _ in cols]
-            highs[pair] = [hi for _, hi in cols]
-            firsts[pair] = first = []
-            for n, (lo, hi) in enumerate(cols):
-                first.append(size)
-                if lo <= hi:
-                    starts.append(size)
-                    places.append((pair, n, lo))
-                    size += hi - lo + 1
+            highs = [hi for _, hi in cols]
+            slope = geo.slope
+            targets[pair] = (len(g), highs, geo.span, slope.rho, slope.rho_prime, geo.k, *geo.cap)
+            places.extend((pair, n, hi) for n, hi in enumerate(highs))
+            g.extend(lo for lo, _ in cols)
+        readers: list[set[int]] = [set() for _ in g]
 
-        def resolve_id(tgt: Node, n: int, m: int) -> bool | int:
-            res = geometry[tgt].resolve((n, m))
-            if isinstance(res, bool):
-                return res
-            n, m = res
-            if n < len(lows[tgt]) and lows[tgt][n] <= m <= highs[tgt][n]:
-                return firsts[tgt][n] + m - lows[tgt][n]
-            raise GeometryError(f"{tgt}: {res} missing from window")
+        def read(reader: int, t: Node, n2: int, top: int) -> int:
+            first, highs, span, rho, rho2, k, X, Y = targets[t]
+            if n2 < len(highs) and top <= highs[n2]:  # inside the window column
+                readers[first + n2].add(reader)
+                m = g[first + n2]
+                return m if m <= top else top + 1
+            low, high = span(n2)
+            top = min(top, high)  # above it, the above-zone
+            # a point beyond the cap wraps by the larger of its two bands
+            s_n = 0 if n2 <= X else -(-(n2 - X) // (k * rho)) if rho else None
+            while top >= low:
+                s_m = 0 if top <= Y else -(-(top - Y) // (k * rho2)) if rho2 else None
+                if s_n is None or s_m is None:
+                    raise GeometryError(f"{t}: ({n2}, {top}) has no wrap into the window")
+                s, bottom = (s_m, Y + (s_m - 1) * k * rho2 + 1) if s_m > s_n else (s_n, low)
+                n1 = n2 - s * k * rho
+                if not 0 <= n1 < len(highs):
+                    raise GeometryError(f"{t}: wrap of column {n2} left the window at {n1}")
+                readers[first + n1].add(reader)
+                m = g[first + n1] + s * k * rho2
+                if m > top:
+                    return top + 1
+                if m > bottom:
+                    return m
+                top = bottom - 1
+            return top + 1
 
-        R = max((len(moves[pair]) for pair in geometry), default=0)
-        back: dict[Node, list] = {pair: [] for pair in geometry}
-        for pair in geometry:
-            for r, (_, d, replies) in enumerate(moves[pair]):
-                for d2, tgt in replies:
-                    back[tgt].append((lows[pair], highs[pair], firsts[pair], r, d, d2))
-        values = bytearray(b"\1") * size
-        live = array("i", [0]) * (size * R)  # per rule, its replies not yet dead
-        wrapped: dict[int, list[int]] = {}  # per point, the rules reaching it by a wrap
-        dead: list[int] = []
-        for pair in geometry:
-            for n, (lo, hi, first) in enumerate(zip(lows[pair], highs[pair], firsts[pair])):
-                # per enabled rule and reply: the m whose reply stays inside
-                # the target's column (a <= m <= b)
-                rules = []
-                for r, (_, d, replies) in enumerate(moves[pair]):
-                    n2 = n + d
-                    if n2 < 0:
-                        continue
-                    reads = []
-                    for d2, tgt in replies:
-                        if n2 < len(lows[tgt]):
-                            a, b = lows[tgt][n2] - d2, highs[tgt][n2] - d2
-                        else:
-                            a, b = 1, 0
-                        reads.append((a, b, tgt, n2, d2))
-                    rules.append((r, reads))
-                for m in range(lo, hi + 1):
-                    point = first + m - lo
-                    for r, reads in rules:
-                        count = 0
-                        for a, b, tgt, n2, d2 in reads:
-                            if a <= m <= b:
-                                count += 1
-                            elif m + d2 >= 0:
-                                res = resolve_id(tgt, n2, m + d2)
-                                if res is True:  # a reply above the belt answers the rule
-                                    # its live count stays 0: deaths only take it below 0
-                                    break
-                                if res is not False:
-                                    count += 1
-                                    wrapped.setdefault(res, []).append(point * R + r)
-                        else:
-                            if not count:
-                                dead.append(point)
-                                break
-                            live[point * R + r] = count
-        while dead:
-            point = dead.pop()
-            if not values[point]:
+        queue = list(range(len(g)))
+        queued = bytearray(b"\1") * len(g)
+        while queue:
+            col = queue.pop()
+            queued[col] = 0
+            pair, n, hi = places[col]
+            best = g[col]
+            if best > hi:
                 continue
-            values[point] = 0
-            col = bisect_right(starts, point) - 1
-            tgt, n2, lo = places[col]
-            m2 = lo + point - starts[col]
-            for los, his, fis, r, d, d2 in back[tgt]:
-                n, m = n2 - d, m2 - d2
-                if 0 <= n < len(los) and los[n] <= m <= his[n]:
-                    rule = (fis[n] + m - los[n]) * R + r
-                    live[rule] -= 1
-                    if not live[rule]:
-                        dead.append(rule // R)
-            for rule in wrapped.get(point, ()):
-                live[rule] -= 1
-                if not live[rule]:
-                    dead.append(rule // R)
+            for _, d, replies in moves[pair]:
+                if n + d >= 0:
+                    low = hi + 1
+                    for d2, t in replies:
+                        m = read(col, t, n + d, hi + d2) - d2
+                        if m < low:
+                            low = m
+                    if low > best:
+                        best = low
+            if best > g[col]:
+                g[col] = best
+                for r in readers[col]:
+                    if not queued[r]:
+                        queued[r] = 1
+                        queue.append(r)
         out: dict[Node, dict[Point, bool]] = {}
         for pair, geo in geometry.items():
-            pts = geo.window_points()
-            base = firsts[pair][0] if pts else 0
-            out[pair] = dict(zip(pts, map(bool, values[base : base + len(pts)])))
+            first = targets[pair][0]
+            # column by column, as `window_points` lists them
+            out[pair] = {
+                (n, m): m >= g[first + n]
+                for n, (lo, hi) in enumerate(geo.columns())
+                for m in range(lo, hi + 1)
+            }
         return out
 
     # -- verification --------------------------------------------------------

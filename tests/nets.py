@@ -76,6 +76,22 @@ def criterion_7_pairs(count: int) -> list[tuple[Ocn, Ocn]]:
     return pairs
 
 
+def omega_into_y() -> tuple[Ocn, Ocn]:
+    """An omega-transition into y, whose gadget value leaves omega at level 1."""
+    sp = Ocn("S", ("p",), ("a", "b"), (("p", "a", 0, "p"), ("p", "b", 0, "p")))
+    dup = Ocn(
+        "D", ("q", "y"), ("a", "b", "tau"),
+        (
+            ("q", "tau", 1, "q"),
+            ("q", "a", 0, "q"),
+            ("q", "b", 0, "q"),
+            ("q", "a", 0, "y"),
+            ("y", "a", 0, "y"),
+        ),
+    )
+    return sp, dup
+
+
 def chain_pair(n: int, cycle: bool = False) -> tuple[Ocn, Ocn]:
     """The chain `s0 a 0 s1 ... s(n-1)` ending in an `a 0` self-loop, or,
     as the n-cycle, in `s(n-1) a +1 s0`, against `d a -1 d`."""

@@ -11,6 +11,7 @@ from nets import (
     NET_Z,
     chain_pair,
     criterion_7_pairs,
+    omega_into_y,
     random_pair,
     tau_cyclic_pair,
 )
@@ -280,12 +281,27 @@ def _assert_greatest_fixpoint(eng, rnd, case):
     return col
 
 
+def _belt_kind(slope):
+    rho, rho2 = slope.rho, slope.rho_prime
+    if not rho or not rho2:
+        return "vertical" if not rho else "horizontal"
+    return "steep" if rho2 > rho else "shallow" if rho > rho2 else "diagonal"
+
+
 def test_quotient_values_are_the_greatest_fixpoint():
     # the second round's windows of seeds 6, 12 and 27 (and the first of 15
-    # and 19) have rules with two replies wrapping onto one window point
+    # and 19) have rules with two replies wrapping onto one window point;
+    # seed 226's belts of slope (2, 1) and seed 17's of slope (1, 2) at
+    # k = 2 read columns past the window's column cap, whose wrap lowers m
+    # as well as n; the horizontal belts of the other seeds wrap there
+    # with rho' = 0
     cases = [(seed, 0) for seed in range(40)] + [(seed, 1) for seed in (6, 12, 27)]
+    cases += [(226, 0), (226, 1), (17, 1)]
+    kinds = set()
     for seed, rnd in cases:
-        _assert_greatest_fixpoint(_engine(*random_pair(seed)), rnd, (seed, rnd))
+        col = _assert_greatest_fixpoint(_engine(*random_pair(seed)), rnd, (seed, rnd))
+        kinds.update(_belt_kind(geo.slope) for geo in col.geometry.values())
+    assert kinds >= {"vertical", "horizontal", "steep", "shallow"}
 
 
 def test_quotient_values_are_the_greatest_fixpoint_on_chains_and_cycles():
@@ -316,6 +332,15 @@ def test_quotient_values_are_the_greatest_fixpoint_on_the_weak_panel():
     assert points == 12407
 
 
+def test_quotient_values_are_the_greatest_fixpoint_on_a_finite_valued_gadget():
+    # the only engine of the suite whose gadget has a finite sufficient
+    # value: it converges at level 2
+    conv = converge_weak(*omega_into_y())
+    assert conv.levels == 2
+    col = _assert_greatest_fixpoint(conv.engine, 0, "omega_into_y")
+    assert sum(map(len, col.values.values())) == 19440
+
+
 def _listed_twice(net, i):
     """The net with its i-th transition listed again right after itself."""
     t = net.transitions
@@ -324,10 +349,10 @@ def _listed_twice(net, i):
 
 @pytest.mark.parametrize("side", ["spoiler", "duplicator"])
 def test_quotient_counts_every_occurrence_of_a_reply(side):
-    # seed 6: with a Duplicator transition listed twice, a rule reads that
-    # reply twice, so counting distinct replies but each death once per
-    # occurrence, or the other way round, changes the values; a Spoiler
-    # rule listed twice is two rules of the same points
+    # seed 6 with one transition listed twice: a Duplicator transition
+    # makes a rule with the same reply twice, a Spoiler transition two
+    # equal rules of the same points; neither may change a value or the
+    # order of the window points
     sp, dup = random_pair(6)
     nets = (_listed_twice(sp, 0), dup) if side == "spoiler" else (sp, _listed_twice(dup, 0))
     eng = _engine(*nets)
@@ -363,6 +388,13 @@ def test_window_points_match_zone_predicates():
             if not c_above((n, m), geo.slope, geo.c) and not c_below((n, m), geo.slope, geo.c)
         }
         assert set(geo.window_points()) == expect
+        # the unclipped belt columns, also past the window's corner
+        for n in range(X + 4):
+            lo, hi = geo.span(n)
+            top = Y if hi == float("inf") else max(Y, hi)
+            for m in range(top + 3):
+                in_belt = not c_above((n, m), geo.slope, geo.c) and not c_below((n, m), geo.slope, geo.c)
+                assert (lo <= m <= hi) == in_belt, (geo.slope, geo.c, n, m)
 
 
 def test_resolve_matches_zones_and_window():

@@ -1,7 +1,7 @@
 import random
 
 from cli_runner import run
-from nets import NET_A, random_pair, tau_cyclic_pair
+from nets import NET_A, omega_into_y, random_pair, tau_cyclic_pair
 from ocnsim.core import Config, Ocn, format_net
 from ocnsim.coloring import StrongSimEngine
 from ocnsim.oracle import bounded_weak_round_winner
@@ -255,24 +255,8 @@ def test_converged_false_answers_are_spoiler_wins_on_tau_cyclic():
     assert falses > 0
 
 
-def _omega_into_y() -> tuple[Ocn, Ocn]:
-    """An omega-transition into y, whose gadget value leaves omega at level 1."""
-    sp = Ocn("S", ("p",), ("a", "b"), (("p", "a", 0, "p"), ("p", "b", 0, "p")))
-    dup = Ocn(
-        "D", ("q", "y"), ("a", "b", "tau"),
-        (
-            ("q", "tau", 1, "q"),
-            ("q", "a", 0, "q"),
-            ("q", "b", 0, "q"),
-            ("q", "a", 0, "y"),
-            ("y", "a", 0, "y"),
-        ),
-    )
-    return sp, dup
-
-
 def test_dump_approximants_writes_each_level(tmp_path):
-    sp, dup = _omega_into_y()
+    sp, dup = omega_into_y()
     net_a, net_b, out = tmp_path / "sp.ocn", tmp_path / "dup.ocn", tmp_path / "levels"
     net_a.write_text(format_net(sp), encoding="utf-8")
     net_b.write_text(format_net(dup), encoding="utf-8")
@@ -304,7 +288,7 @@ def test_one_engine_per_level_answers_as_the_last_level(monkeypatch):
         return StrongSimEngine(*args, **kwargs)
 
     monkeypatch.setattr(weaksim, "StrongSimEngine", counting)
-    cases = [_omega_into_y(), *map(tau_cyclic_pair, range(12)), *map(random_pair, range(6))]
+    cases = [omega_into_y(), *map(tau_cyclic_pair, range(12)), *map(random_pair, range(6))]
     live_changes = 0
     for sp, dup in cases:
         built.clear()
@@ -357,7 +341,7 @@ def test_tau_acyclic_duplicator_converges_at_level_one(monkeypatch):
 def test_approximants_hold_only_enterable_gadgets():
     # every gadget state of every level lies on the chain of a gadget whose
     # entry some script action reaches
-    for nets_pair in [_omega_into_y(), *map(tau_cyclic_pair, range(12))]:
+    for nets_pair in [omega_into_y(), *map(tau_cyclic_pair, range(12))]:
         conv = converge_weak(*nets_pair)
         for nets in conv.approximants:
             sp = nets.spoiler
