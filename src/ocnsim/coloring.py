@@ -241,11 +241,29 @@ class QuotientColoring:
         window column, and the below-zone (false, as is m2 < 0).  The
         window column is true from g[t][n2] up, and band s, whose points
         `PairGeometry.wrap` shifts by s*k*slope, from
-        g[t][n2 - s*k*rho] + s*k*rho' up.  Each window column a read
-        touches records the reading column, which is queued again whenever
-        that column's threshold rises.  Every reply of every rule is read
-        and recorded, with no early exit from the min, so no rise that
-        could matter goes unseen.
+        g[t][n2 - s*k*rho] + s*k*rho' up.  Which segments a read passes
+        depends on the geometry alone, so each read is laid out once,
+        before the worklist: its threshold if its top is false, then per
+        segment from the top down the window column it reads, the m shift
+        and the segment's lowest m, all less d2.  A window column's segment
+        is given its lowest m less one, below any threshold, since the
+        below-zone follows it.  A re-evaluation scans the segments to the
+        first one with a false point.  Each window column records the columns whose layout
+        reads it, which are queued again whenever its threshold rises.
+        Reads only rise with the thresholds, so a rule's min stops at its
+        first reply that cannot raise the column: if that reply rises
+        later, its column is requeued.
+
+        Replies with d = 0 into the column's own pair and d2 <= 0 read the
+        column itself and are folded.  One with d2 = 0 holds at every true
+        point of the column, so its rule never raises g and is dropped.
+        One with d2 < 0 reads g - d2, or hi + 1 once that is past the top,
+        which is above g: it can only delay the rule's other replies.  At
+        any fixpoint g >= min(g - d2, rest) then forces g >= rest, so the
+        least fixpoint is the same without the reply, and the column
+        climbs to the other replies' threshold in one step instead of -d2
+        at a time.  A reply with d2 > 0 is kept: at a column clipped by the
+        window cap, hi + d2 lies in a wrap band, which can be false.
 
         Thresholds only rise, each to a value its reads force, so the result
         is the least thresholds whose columns all satisfy the one-step
@@ -256,78 +274,91 @@ class QuotientColoring:
         state is per column; only the expanded `values`, in `window_points`
         order, are per point."""
         geometry, moves = self.geometry, self.product.moves
-        # per pair: the number of its column 0, its columns' highest m, and
-        # what a read past them needs of its geometry
+        # per pair: the number of its column 0, its columns, and what a read
+        # past them needs of its geometry
         targets: dict[Node, tuple] = {}
-        places: list[tuple[Node, int, int]] = []  # per column: pair, n, highest m
-        g: list[int] = []  # per column: its threshold
+        # per column: its pair, n, lowest m and highest m
+        places: list[tuple[Node, int, int, int]] = []
         for pair, geo in geometry.items():
             cols = geo.columns()
-            highs = [hi for _, hi in cols]
             slope = geo.slope
-            targets[pair] = (len(g), highs, geo.span, slope.rho, slope.rho_prime, geo.k, *geo.cap)
-            places.extend((pair, n, hi) for n, hi in enumerate(highs))
-            g.extend(lo for lo, _ in cols)
+            targets[pair] = (len(places), cols, geo.span, slope.rho, slope.rho_prime, geo.k, *geo.cap)
+            places.extend((pair, n, lo, hi) for n, (lo, hi) in enumerate(cols))
+        g = [lo for _, _, lo, _ in places]  # per column: its threshold
         readers: list[set[int]] = [set() for _ in g]
 
-        def read(reader: int, t: Node, n2: int, top: int) -> int:
-            first, highs, span, rho, rho2, k, X, Y = targets[t]
-            if n2 < len(highs) and top <= highs[n2]:  # inside the window column
+        def lay_out(reader: int, t: Node, n2: int, hi: int, d2: int) -> tuple[int, list]:
+            first, cols, span, rho, rho2, k, X, Y = targets[t]
+            top = hi + d2
+            if n2 < len(cols) and top <= cols[n2][1]:  # inside the window column
                 readers[first + n2].add(reader)
-                m = g[first + n2]
-                return m if m <= top else top + 1
+                return hi + 1, [(first + n2, -d2, cols[n2][0] - 1 - d2)]
             low, high = span(n2)
             top = min(top, high)  # above it, the above-zone
+            segs = []
             # a point beyond the cap wraps by the larger of its two bands
             s_n = 0 if n2 <= X else -(-(n2 - X) // (k * rho)) if rho else None
-            while top >= low:
-                s_m = 0 if top <= Y else -(-(top - Y) // (k * rho2)) if rho2 else None
+            m2 = top
+            while m2 >= low:
+                s_m = 0 if m2 <= Y else -(-(m2 - Y) // (k * rho2)) if rho2 else None
                 if s_n is None or s_m is None:
-                    raise GeometryError(f"{t}: ({n2}, {top}) has no wrap into the window")
+                    raise GeometryError(f"{t}: ({n2}, {m2}) has no wrap into the window")
                 s, bottom = (s_m, Y + (s_m - 1) * k * rho2 + 1) if s_m > s_n else (s_n, low)
                 n1 = n2 - s * k * rho
-                if not 0 <= n1 < len(highs):
+                if not 0 <= n1 < len(cols):
                     raise GeometryError(f"{t}: wrap of column {n2} left the window at {n1}")
                 readers[first + n1].add(reader)
-                m = g[first + n1] + s * k * rho2
-                if m > top:
-                    return top + 1
-                if m > bottom:
-                    return m
-                top = bottom - 1
-            return top + 1
+                segs.append((first + n1, s * k * rho2 - d2, bottom - d2))
+                m2 = bottom - 1
+            return top + 1 - d2, segs
+
+        # per column, per enabled rule, per reply: its layout
+        layout: list[list[list[tuple[int, list]]]] = []
+        for col, (pair, n, lo, hi) in enumerate(places):
+            layout.append([
+                [lay_out(col, t, n + d, hi, d2) for d2, t in replies if d or t != pair or d2 > 0]
+                for _, d, replies in moves[pair]
+                if n + d >= 0 and not (d == 0 and (0, pair) in replies)
+            ] if lo <= hi else [])
 
         queue = list(range(len(g)))
         queued = bytearray(b"\1") * len(g)
         while queue:
             col = queue.pop()
             queued[col] = 0
-            pair, n, hi = places[col]
+            hi = places[col][3]
             best = g[col]
             if best > hi:
                 continue
-            for _, d, replies in moves[pair]:
-                if n + d >= 0:
-                    low = hi + 1
-                    for d2, t in replies:
-                        m = read(col, t, n + d, hi + d2) - d2
-                        if m < low:
-                            low = m
-                    if low > best:
-                        best = low
+            for rule in layout[col]:
+                low = hi + 1
+                for thr, segs in rule:
+                    for t, shift, bottom in segs:
+                        m = g[t] + shift
+                        if m > bottom:
+                            if m < thr:
+                                thr = m
+                            break
+                        thr = bottom
+                    if thr < low:
+                        low = thr
+                        if low <= best:
+                            break
+                if low > best:
+                    best = low
             if best > g[col]:
                 g[col] = best
                 for r in readers[col]:
                     if not queued[r]:
                         queued[r] = 1
                         queue.append(r)
+        del layout, readers  # the expansion below reuses their memory
         out: dict[Node, dict[Point, bool]] = {}
-        for pair, geo in geometry.items():
-            first = targets[pair][0]
+        for pair, (first, cols, *_) in targets.items():
             # column by column, as `window_points` lists them
             out[pair] = {
                 (n, m): m >= g[first + n]
-                for n, (lo, hi) in enumerate(geo.columns())
+                for n, (lo, hi) in enumerate(cols)
                 for m in range(lo, hi + 1)
             }
         return out
@@ -344,13 +375,16 @@ class QuotientColoring:
 
     def fringe(self, pair: Node) -> list[Point]:
         """Window points whose k*slope translate leaves the window: exactly
-        the wrap targets of all points beyond it."""
+        the wrap targets of all points beyond it.  Column by column, that is
+        the whole column n when n + k*rho > X, else its points above
+        Y - k*rho'."""
         geo = self.geometry[pair]
-        step = (geo.k * geo.slope.rho, geo.k * geo.slope.rho_prime)
+        X, Y = geo.cap
+        step, step2 = geo.k * geo.slope.rho, geo.k * geo.slope.rho_prime
         return [
-            pt
-            for pt in self.values[pair]
-            if not geo.in_window((pt[0] + step[0], pt[1] + step[1]))
+            (n, m)
+            for n, (lo, hi) in enumerate(geo.columns())
+            for m in range(lo if n + step > X else max(lo, Y - step2 + 1), hi + 1)
         ]
 
     def certify_periodicity(self) -> list[str]:

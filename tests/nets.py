@@ -100,3 +100,30 @@ def chain_pair(n: int, cycle: bool = False) -> tuple[Ocn, Ocn]:
     trans.append((f"s{n - 1}", "a", 1, "s0") if cycle else (f"s{n - 1}", "a", 0, f"s{n - 1}"))
     spoiler = Ocn("C" if cycle else "L", states, ("a",), tuple(trans))
     return spoiler, Ocn("D", ("d",), ("a",), (("d", "a", -1, "d"),))
+
+
+def own_column_pair() -> tuple[Ocn, Ocn]:
+    """At (p, q) Duplicator answers Spoiler's counter-keeping a, b and c
+    inside its own column: a with -1 (or with 0 into r), b with 0, c with
+    +1.  Spoiler's e costs r one unit and q none, so both pairs are
+    simulated exactly from m = n on."""
+    actions = ("a", "b", "c", "e")
+    sp = Ocn(
+        "S", ("p",), actions,
+        (("p", "a", 0, "p"), ("p", "b", 0, "p"), ("p", "c", 0, "p"), ("p", "e", -1, "p")),
+    )
+    dup = Ocn(
+        "D", ("q", "r"), actions,
+        (
+            ("q", "a", -1, "q"),
+            ("q", "a", 0, "r"),
+            ("q", "b", 0, "q"),
+            ("q", "c", 1, "q"),
+            ("q", "e", 0, "q"),
+            ("r", "a", 0, "r"),
+            ("r", "b", 0, "r"),
+            ("r", "c", 1, "r"),
+            ("r", "e", -1, "r"),
+        ),
+    )
+    return sp, dup

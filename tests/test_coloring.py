@@ -12,6 +12,7 @@ from nets import (
     chain_pair,
     criterion_7_pairs,
     omega_into_y,
+    own_column_pair,
     random_pair,
     tau_cyclic_pair,
 )
@@ -271,14 +272,17 @@ def _kleene(product, geometry):
     return col.values
 
 
-def _assert_greatest_fixpoint(eng, rnd, case):
-    j, k, _ = eng.schedule[rnd]
-    col = eng.coloring(j, k)
+def _assert_solved_window(col, case):
     for pair, geo in col.geometry.items():
         # false_points follows this order, and it orders the attractor's goals
         assert list(col.values[pair]) == geo.window_points(), (case, pair)
-    assert col.values == _kleene(eng.product, col.geometry), case
+    assert col.values == _kleene(col.product, col.geometry), case
     return col
+
+
+def _assert_greatest_fixpoint(eng, rnd, case):
+    j, k, _ = eng.schedule[rnd]
+    return _assert_solved_window(eng.coloring(j, k), case)
 
 
 def _belt_kind(slope):
@@ -288,7 +292,9 @@ def _belt_kind(slope):
     return "steep" if rho2 > rho else "shallow" if rho > rho2 else "diagonal"
 
 
-def test_quotient_values_are_the_greatest_fixpoint():
+def _belt_case_colorings():
+    """(case, coloring) for windows of `random_pair` seeds that between them
+    hold vertical, horizontal, steep and shallow belts."""
     # the second round's windows of seeds 6, 12 and 27 (and the first of 15
     # and 19) have rules with two replies wrapping onto one window point;
     # seed 226's belts of slope (2, 1) and seed 17's of slope (1, 2) at
@@ -297,11 +303,65 @@ def test_quotient_values_are_the_greatest_fixpoint():
     # with rho' = 0
     cases = [(seed, 0) for seed in range(40)] + [(seed, 1) for seed in (6, 12, 27)]
     cases += [(226, 0), (226, 1), (17, 1)]
-    kinds = set()
     for seed, rnd in cases:
-        col = _assert_greatest_fixpoint(_engine(*random_pair(seed)), rnd, (seed, rnd))
+        eng = _engine(*random_pair(seed))
+        j, k, _ = eng.schedule[rnd]
+        yield (seed, rnd), eng.coloring(j, k)
+
+
+def test_quotient_values_are_the_greatest_fixpoint():
+    kinds = set()
+    for case, col in _belt_case_colorings():
+        _assert_solved_window(col, case)
         kinds.update(_belt_kind(geo.slope) for geo in col.geometry.values())
     assert kinds >= {"vertical", "horizontal", "steep", "shallow"}
+
+
+def test_fringe_is_every_point_whose_translate_leaves_the_window():
+    kinds = set()
+    for case, col in _belt_case_colorings():
+        for pair, geo in col.geometry.items():
+            step = (geo.k * geo.slope.rho, geo.k * geo.slope.rho_prime)
+            scan = [
+                pt for pt in col.values[pair]
+                if not geo.in_window((pt[0] + step[0], pt[1] + step[1]))
+            ]
+            assert col.fringe(pair) == scan, (case, pair)
+            kinds.add(_belt_kind(geo.slope))
+    assert kinds >= {"vertical", "horizontal", "steep", "shallow"}
+
+
+def test_quotient_folds_replies_into_their_own_column():
+    # at (p, q), Spoiler's a, b and c are answered inside the column with
+    # d2 = -1, 0 and +1; a's -1 only delays its reply into (p, r), which
+    # sets the threshold, and b's rule always holds
+    eng = _engine(*own_column_pair())
+    pq = ("p", "q")
+    own = {d2 for _, d, replies in eng.product.moves[pq] if d == 0 for d2, t in replies if t == pq}
+    assert own == {-1, 0, 1}
+
+    def lows(col):
+        """Per column of (p, q), its least true m, None when all false."""
+        width = len(col.geometry[pq].columns())
+        return [
+            min((m for (n2, m), v in col.values[pq].items() if n2 == n and v), default=None)
+            for n in range(width)
+        ]
+
+    col = _assert_greatest_fixpoint(eng, 0, "round 0")
+    Y = col.geometry[pq].cap[1]
+    assert any(lo <= hi == Y for lo, hi in col.geometry[pq].columns())
+    assert lows(col)[:12] == list(range(12))
+    # a window the engine never builds: vertical belts of width 6 capped at
+    # Y = 4 with k = 3, so every column is clipped and c's +1 reply at its
+    # top, (n, 5), wraps to (n, 2).  That is false in columns 3 and 4,
+    # whose other rules alone make them true from m = n, so they fall.
+    geometry = {
+        pair: PairGeometry(pair, Slope(0, 1), 6, (6, 1), 0, 3) for pair in eng.product.nodes
+    }
+    col = _assert_solved_window(QuotientColoring(eng.product, geometry), "window")
+    assert all(lo <= hi == 4 for lo, hi in geometry[pq].columns())
+    assert lows(col) == [0, 1, 2, None, None, None, None]
 
 
 def test_quotient_values_are_the_greatest_fixpoint_on_chains_and_cycles():
