@@ -15,10 +15,10 @@ verification makes that checkable.
 from __future__ import annotations
 
 import copy
-from collections import deque
-from itertools import chain, repeat
+from bisect import bisect_right
+from itertools import chain
 from math import ceil, inf
-from operator import mul, sub
+from operator import itemgetter
 
 from .core import (
     Config,
@@ -522,40 +522,72 @@ class SpoilerAttractor:
     (n, m) within r rounds is one at (n, m - 1), where Spoiler's rule is
     still enabled and every enabled reply lands one below a reply from
     (n, m), inside the grid.  So the cells of pair p won within r rounds
-    are the m < f_r[p][n], with f_0 = 0 and, clipped to N + 1,
+    are the m < f_r[p][n], with f_0 = 0 and f_r = F(f_{r-1}), where
 
-        f_r[p][n] = max(f_{r-1}[p][n], max over rules (d, replies) with
-                        n + d >= 0 of min over replies (d2, t) of
-                        f_{r-1}[t][n + d] - d2),
+        F(f)[p][n] = max over rules (d, replies) with n + d >= 0 of
+                     min over replies (d2, t) of f[t][n + d] - d2,
 
-    since a rule wins at m when each reply is disabled (m + d2 < 0) or won
-    (m + d2 < f[t][n + d]), which for f >= 0 both read m < f - d2.  Column
-    N + 1 stays 0: a move out of the grid is unresolved, yet one whose
-    replies all decrement still wins at m = 0.  A round reads only the last
-    round's rows, so a cell's rank is the first round whose f passes it,
-    however the rounds were split between calls.
+    each term clipped to [0, N + 1], and F(f)[p][n] = 0 without such a
+    rule: a rule wins at m when each reply is disabled (m + d2 < 0) or won
+    (m + d2 < f[t][n + d]), which for f >= 0 both read m < f - d2.  F is
+    monotone and f_1 >= f_0, so by induction the rows only rise and f_r is
+    max(f_{r-1}, F(f_{r-1})), the cells won within r - 1 rounds or by a
+    rule into them.  Column N + 1 stays 0: a move out of the grid is
+    unresolved, yet one whose replies all decrement still wins at m = 0.
+    A round reads only the last round's rows, so a cell's rank is the
+    first round whose f passes it, however the rounds were split between
+    calls.
 
-    `_ranks[pair][n]` lists the ranks of column n's won cells, cell (n, m)
-    at index m; `won[pair]` lists them all, column by column."""
+    Each pair keeps its rows as its rank record: the row of every round
+    that raised it, with that round's number.  A cell's rank is the round
+    of the first kept row that passes it, found by bisection on the cell's
+    column.  A round recomputes only the rows that read a row which rose
+    in the round before, and every row in a grid's first round: from reads
+    that did not change, F gives the row it gave last time.  A row is read
+    shifted by -d2 only for the d2 some reply reads it at.  `won[pair]`
+    lists the ranks of all won cells, column by column.  Only tracing
+    reads it, so it expands each kept row once, on demand, and starts
+    over with the grid."""
 
     def __init__(self, product: ProductGraph):
         self.moves = product.moves
+        self._shifts: dict[Node, set[int]] = {pair: set() for pair in self.moves}
+        self._readers: dict[Node, set[Node]] = {pair: set() for pair in self.moves}
         for pair in self.moves:
             for a, _, replies in self.moves[pair]:
                 if not replies:
                     raise GeometryError(
                         f"pair {pair}: Duplicator has no {a!r} rules (net not normalized)"
                     )
+                for d2, t in replies:
+                    self._shifts[t].add(d2)
+                    self._readers[t].add(pair)
         self.bound = -1
         self.max_rank = 0
         self.final = False
         self._f: dict[Node, list[int]] = {}
         self._views: dict[Node, dict[int, list[int]]] = {}
-        self._ranks: dict[Node, list[list[int]]] = {}
+        self._dirty: set[Node] = set()
+        self._rows: dict[Node, list[list[int]]] = {}
+        self._rounds: dict[Node, list[int]] = {}
+        self._won: dict[Node, list[list[int]]] = {}
+        self._expanded: dict[Node, int] = {}
 
     @property
     def won(self) -> dict[Node, list[int]]:
-        return {pair: list(chain.from_iterable(cols)) for pair, cols in self._ranks.items()}
+        for pair, rows in self._rows.items():
+            cols = self._won.get(pair)
+            if cols is None:
+                cols = self._won[pair] = [[] for _ in range(self.bound + 1)]
+            done = self._expanded.get(pair, 0)
+            old = rows[done - 1] if done else [0] * len(cols)
+            for new, r in zip(rows[done:], self._rounds[pair][done:]):
+                for col, a, b in zip(cols, old, new):
+                    if b > a:
+                        col.extend([r] * (b - a))
+                old = new
+            self._expanded[pair] = len(rows)
+        return {pair: list(chain.from_iterable(cols)) for pair, cols in self._won.items()}
 
     def ensure(
         self, bound: int, max_rank: int, goal: list[tuple[Node, Point]] | None = None
@@ -565,8 +597,11 @@ class SpoilerAttractor:
         if bound > self.bound:
             self.bound, self.max_rank, self.final = bound, 0, False
             self._f = {pair: [0] * (bound + 1) for pair in self.moves}
-            self._views = {pair: self._reads(row) for pair, row in self._f.items()}
-            self._ranks = {pair: [[] for _ in range(bound + 1)] for pair in self.moves}
+            self._views = {pair: self._reads(pair, row) for pair, row in self._f.items()}
+            self._dirty = set(self.moves)
+            self._rows = {pair: [] for pair in self.moves}
+            self._rounds = {pair: [] for pair in self.moves}
+            self._won, self._expanded = {}, {}
         f = self._f
         pending = None
         if goal is not None:
@@ -582,40 +617,51 @@ class SpoilerAttractor:
                     break
             self._round()
 
-    def _reads(self, row: list[int]) -> dict[int, list[int]]:
-        # f - d2 per reply change d2, with columns -1 (no win) and N + 1 (0)
+    def _reads(self, pair: Node, row: list[int]) -> dict[int, list[int]]:
+        # f - d2, clipped to [0, N + 1], per reply change d2 the row is read
+        # at, with columns -1 (no win) and N + 1 (f = 0)
         top = self.bound + 1
-        up = [x + 1 if x < top else top for x in row]
-        return {0: [0, *row, 0], -1: [0, *up, 1], 1: [0, *[x - 1 for x in row], -1]}
+        views = {}
+        for d2 in self._shifts[pair]:
+            if d2 == 0:
+                views[0] = [0, *row, 0]
+            elif d2 < 0:
+                views[-1] = [0, *[x + 1 if x < top else top for x in row], 1]
+            else:
+                views[1] = [0, *[x - 1 if x else 0 for x in row], 0]
+        return views
 
     def _round(self) -> None:
         top, f, views = self.bound + 1, self._f, self._views
         self.max_rank += 1
-        rank = self.max_rank
         # the product is successor-closed, so every reply reads one of its rows
         rose: dict[Node, list[int]] = {}
-        for pair, old in f.items():
-            best = []
+        for pair in self._dirty:
+            new = None
             for _, d, replies in self.moves[pair]:
-                rows = [views[t][d2][1 + d : 1 + d + top] for d2, t in replies]
-                best.append(rows[0] if len(rows) == 1 else map(min, *rows))
-            new = list(map(max, old, *best))
-            if new != old:
+                (d2, t), *rest = replies
+                best = views[t][d2][1 + d : 1 + d + top]
+                for d2, t in rest:
+                    best = [x if x < y else y for x, y in zip(best, views[t][d2][1 + d :])]
+                new = best if new is None else [x if x > y else y for x, y in zip(new, best)]
+            if new is not None and new != f[pair]:
                 rose[pair] = new
-                # the cells a column gained this round have this rank
-                gained = map(mul, repeat([rank]), map(sub, new, old))
-                deque(map(list.extend, self._ranks[pair], gained), 0)
         self.final = not rose
+        self._dirty = set()
         for pair, new in rose.items():
             f[pair] = new
-            views[pair] = self._reads(new)
+            views[pair] = self._reads(pair, new)
+            self._rows[pair].append(new)
+            self._rounds[pair].append(self.max_rank)
+            self._dirty |= self._readers[pair]
 
     def rank(self, pair: Node, pt: Point) -> int | None:
         n, m = pt
-        if pair not in self._ranks or n > self.bound:
+        if pair not in self._rows or n > self.bound:
             return None
-        column = self._ranks[pair][n]
-        return column[m] if m < len(column) else None
+        rows = self._rows[pair]
+        i = bisect_right(rows, m, key=itemgetter(n))
+        return self._rounds[pair][i] if i < len(rows) else None
 
     def unconfirmed(
         self, points: list[tuple[Node, Point]], depth: int
@@ -804,6 +850,8 @@ class StrongSimEngine:
             for i in range(MAX_ROUNDS)
         )
         self.colorings: dict[tuple[int, int], QuotientColoring] = {}
+        # rounds whose window `max_rect` cut below j0 and that a wrap left
+        self._j0, self._capped = j0, set()
         self._attractor = SpoilerAttractor(self.product)
 
     # -- geometry ------------------------------------------------------------
@@ -827,11 +875,35 @@ class StrongSimEngine:
             self.colorings[key] = col
         return col
 
+    def _cap(self, j: int, k: int) -> bool:
+        """Whether a GeometryError of round (j, k) is a resource cap: a
+        window `max_rect` cut below j0 need not hold every wrap.  A capped
+        round's coloring is dropped and not built again."""
+        if j >= self._j0:
+            return False
+        self._capped.add((j, k))
+        self.colorings.pop((j, k), None)
+        return True
+
+    def _round_coloring(self, j: int, k: int) -> QuotientColoring | None:
+        """The round's coloring, unless the round is capped."""
+        if (j, k) not in self._capped:
+            try:
+                return self.coloring(j, k)
+            except GeometryError:
+                if not self._cap(j, k):
+                    raise
+        return None
+
     def spoiler_rank(self, pair: Node, pt: Point, depth: int) -> int | None:
         """Rounds within which Spoiler wins from the point, if at most `depth`."""
-        if self._attractor.unconfirmed([(pair, pt)], depth):
+        att = self._attractor
+        r = att.rank(pair, pt)
+        if r is not None and r <= depth:
+            return r
+        if att.unconfirmed([(pair, pt)], depth):
             return None
-        return self._attractor.rank(pair, pt)
+        return att.rank(pair, pt)
 
     def _ensure_exact(self, col: QuotientColoring) -> bool:
         """Upgrade a YES-certified coloring to a fully exact description:
@@ -881,14 +953,19 @@ class StrongSimEngine:
             )
             if spoiler_first and self.spoiler_rank(pair, pt, depth) is not None:
                 return False
-            col = self.coloring(j, k)
-            if col.certified_yes and col.lookup(pair, pt):
-                return True
-            # beyond the window an exact coloring answers without a search
-            # as deep as the counter
-            outside = not col.geometry[pair].in_window(pt)
-            if (outside or not attractor_feasible) and self._ensure_exact(col):
-                return col.lookup(pair, pt)
+            if (j, k) not in self._capped:
+                try:
+                    col = self.coloring(j, k)
+                    if col.certified_yes and col.lookup(pair, pt):
+                        return True
+                    # beyond the window an exact coloring answers without a
+                    # search as deep as the counter
+                    outside = not col.geometry[pair].in_window(pt)
+                    if (outside or not attractor_feasible) and self._ensure_exact(col):
+                        return col.lookup(pair, pt)
+                except GeometryError:
+                    if not self._cap(j, k):
+                        raise
             if attractor_feasible and not spoiler_first and self.spoiler_rank(pair, pt, depth) is not None:
                 return False
         # every round's coloring is built by now, so this builds nothing
@@ -900,8 +977,8 @@ class StrongSimEngine:
     def certified_coloring(self) -> QuotientColoring | None:
         """First coloring of the escalation schedule that certifies."""
         for j, k, _ in self.schedule:
-            col = self.coloring(j, k)
-            if col.certified_yes:
+            col = self._round_coloring(j, k)
+            if col is not None and col.certified_yes:
                 return col
         return None
 
@@ -910,8 +987,8 @@ class StrongSimEngine:
         locally, excluded window points confirmed by bounded Spoiler wins,
         periodicity witnessed by equal cross-sections."""
         for j, k, _ in self.schedule:
-            col = self.coloring(j, k)
-            if col.certified_yes and self._ensure_exact(col):
+            col = self._round_coloring(j, k)
+            if col is not None and col.certified_yes and self._ensure_exact(col):
                 return col
         return None
 

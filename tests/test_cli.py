@@ -11,7 +11,8 @@ from cli_runner import run
 from nets import random_pair
 from ocnsim.cli import EXIT_INTERNAL
 from ocnsim.coloring import StrongSimEngine
-from ocnsim.core import format_net, parse_net
+from ocnsim.core import Config, format_net, parse_net
+from ocnsim.oracle import bounded_round_winner
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -135,6 +136,30 @@ def test_every_command_maps_internal_errors(monkeypatch, tmp_path, method, args,
     assert len(res.stderr.splitlines()) == 1
     assert exc.__name__ in res.stderr
     assert not out.exists()
+
+
+CUT_NETS = (
+    "net S\nstates s0 s1 s2\nactions a b e\ns0 a -1 s2\ns2 b +1 s1\ns1 e -1 s0\n",
+    "net D\nstates d0 d1 d2\nactions a b e\nd0 a 0 d2\nd2 b -1 d1\nd1 e -1 d0\n",
+)
+
+
+@pytest.mark.parametrize("counter", [30, 9])
+def test_rect_cut_below_j0_is_never_a_crash(tmp_path, counter):
+    # `--max-rect 3` cuts every round's window below the engine's j0, and
+    # there a wrap left the window: each such round is a resource cap, so
+    # the check answers from the attractor or says undecided, never exit 70
+    files = [tmp_path / "s.ocn", tmp_path / "d.ocn"]
+    for path, text in zip(files, CUT_NETS):
+        path.write_text(text, encoding="utf-8")
+    confs = (f"s0:{counter}", f"d0:{counter}")
+    res = run("check", "--json", "--max-rect", "3", *map(str, files), *confs)
+    verdict = json.loads(res.stdout)["verdict"]
+    assert (res.exit_code, verdict) in ((1, "false"), (2, "undecided")), res.output
+    if verdict == "false":
+        nets = tuple(map(parse_net, CUT_NETS))
+        pos = (Config("s0", counter), Config("d0", counter))
+        assert bounded_round_winner(nets, pos, 32).spoiler_wins
 
 
 def test_check_limit_flags():

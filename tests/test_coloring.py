@@ -98,6 +98,24 @@ CLIMB = (
 )
 
 
+@pytest.mark.parametrize("max_rect,raises", [(3, False), (EngineLimits.max_rect, True)])
+def test_geometry_error_is_a_cap_only_below_j0(monkeypatch, max_rect, raises):
+    # a window `max_rect` cuts below j0 need not hold every wrap, so a wrap
+    # that leaves it is a resource cap; in a window of j0 or more it is a fault
+    eng = _engine(NET_A, NET_ACOPY, limits=EngineLimits(max_rect=max_rect))
+
+    def broken(self, pair, pt):
+        raise GeometryError("wrap left the window")
+
+    monkeypatch.setattr(QuotientColoring, "lookup", broken)
+    if raises:
+        with pytest.raises(GeometryError):
+            eng.decide(("p", 30), ("q", 31))
+    else:
+        assert eng.decide(("p", 30), ("q", 31)) is None
+        assert eng.colorings == {} and eng.certified_coloring() is None
+
+
 def test_attractor_ranks_up_to_the_grid_edge():
     # the last move of CLIMB's win leaves the grid when n + m = bound and
     # still wins, since Duplicator's only reply decrements
@@ -116,6 +134,40 @@ def _attractor(nets) -> SpoilerAttractor:
 def _ranks(att: SpoilerAttractor) -> dict:
     cells = range(att.bound + 1)
     return {(p, n, m): att.rank(p, (n, m)) for p in att.moves for n in cells for m in cells}
+
+
+def _ranks_by_column(att: SpoilerAttractor) -> dict:
+    cells = range(att.bound + 2)
+    return {
+        p: [r for n in range(att.bound + 1) for m in cells if (r := att.rank(p, (n, m))) is not None]
+        for p in att.moves
+    }
+
+
+def test_attractor_ranks_match_the_oracle():
+    # rank(p, (n, m)) <= r exactly when the oracle, which shares no code
+    # with the engine, has Spoiler win from (n, m) within r rounds, for
+    # every r <= 8: wins within r rounds are wins within r + 1, so the
+    # oracle need only win at the rank and lose one round earlier.  `won`
+    # lists the ranks `rank` gives, column by column, whether the table ran
+    # in one call, resumed, or started over on a larger grid.
+    for seed in range(12):
+        nets = normalize_pair(*random_pair(seed))
+        att = SpoilerAttractor(build_product(*nets))
+        for bound, depth in ((16, 3), (16, 8), (24, 8)):
+            att.ensure(bound, depth)
+            assert att.bound == bound and (att.max_rank == depth or att.final)
+            assert att.won == _ranks_by_column(att), (seed, bound, depth)
+        for q, q2 in att.moves:
+            for n in range(9):
+                for m in range(9):
+                    pos = (Config(q, n), Config(q2, m))
+                    r = att.rank((q, q2), (n, m))
+                    if r is None:
+                        assert not bounded_round_winner(nets, pos, 8).spoiler_wins, (seed, pos)
+                        continue
+                    assert r <= 8 and bounded_round_winner(nets, pos, r).spoiler_wins, (seed, pos)
+                    assert r == 1 or not bounded_round_winner(nets, pos, r - 1).spoiler_wins
 
 
 def test_attractor_resumes_where_it_stopped():
