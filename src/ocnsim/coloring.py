@@ -131,6 +131,18 @@ class PairGeometry(Belt):
             return [(0, Y)] * (min(X, self.c) + 1)
         return [(lo, min(Y, hi)) for lo, hi in map(self.span, range(X + 1))]
 
+    def fringe(self) -> list[tuple[int, int]]:
+        """Per window column n, the lowest and highest m of its points whose
+        k*slope translate leaves the window, the wrap targets of all points
+        beyond it: the whole column when n + k*rho > X, else its points
+        above Y - k*rho'."""
+        X, Y = self.cap
+        step, step2 = self.k * self.slope.rho, self.k * self.slope.rho_prime
+        return [
+            (lo if n + step > X else max(lo, Y - step2 + 1), hi)
+            for n, (lo, hi) in enumerate(self.columns())
+        ]
+
     def window_points(self) -> list[Point]:
         """All points of belt /\\ rect(j + k), column by column."""
         return [(n, m) for n, (lo, hi) in enumerate(self.columns()) for m in range(lo, hi + 1)]
@@ -186,8 +198,10 @@ class QuotientColoring:
     greatest fixpoint, looked up through the zones and the k*slope wrap.
 
     The values are solved on construction, as one threshold per window
-    column expanded to the column's points, unless given, as when checking
-    an exported coloring.
+    column expanded to the column's points, and the solver's columns and
+    thresholds are kept for `certify_periodicity`.  Values may be given
+    instead, as when checking an exported coloring: such a coloring has no
+    thresholds, and is certified point by point.
     """
 
     def __init__(
@@ -198,6 +212,10 @@ class QuotientColoring:
     ):
         self.product = product
         self.geometry = geometry
+        # per pair, the number of its column 0, its columns and the geometry
+        # a read past them needs; per column, its threshold
+        self._targets: dict[Node, tuple] | None = None
+        self._g: list[int] | None = None
         self.values = self._solve() if values is None else values
         self.certified_yes = False
         self.exact = False
@@ -242,14 +260,15 @@ class QuotientColoring:
         window column is true from g[t][n2] up, and band s, whose points
         `PairGeometry.wrap` shifts by s*k*slope, from
         g[t][n2 - s*k*rho] + s*k*rho' up.  Which segments a read passes
-        depends on the geometry alone, so each read is laid out once,
-        before the worklist: its threshold if its top is false, then per
-        segment from the top down the window column it reads, the m shift
-        and the segment's lowest m, all less d2.  A window column's segment
-        is given its lowest m less one, below any threshold, since the
-        below-zone follows it.  A re-evaluation scans the segments to the
-        first one with a false point.  Each window column records the columns whose layout
-        reads it, which are queued again whenever its threshold rises.
+        depends on the geometry alone, so each read is laid out once, by
+        `_lay_out`, before the worklist: its threshold if its top is false,
+        then per segment from the top down the window column it reads, the m
+        shift and the segment's lowest m, all less d2.  A window column's
+        segment is given its lowest m less one, below any threshold, since
+        the below-zone follows it.  A re-evaluation scans the segments to
+        the first one with a false point.  Each window column records the
+        columns whose layout reads it, which are queued again whenever its
+        threshold rises.
         Reads only rise with the thresholds, so a rule's min stops at its
         first reply that cannot raise the column: if that reply rises
         later, its column is requeued.
@@ -271,8 +290,9 @@ class QuotientColoring:
         the greatest fixpoint of the point game and `true` is always sound.
         It is that fixpoint whenever every read range is upward closed,
         which the `_kleene` reference of the tests checks.  The solver's
-        state is per column; only the expanded `values`, in `window_points`
-        order, are per point."""
+        state is per column: the coloring keeps each pair's first column and
+        columns with the thresholds, for `certify_periodicity`.  Only the
+        expanded `values`, in `window_points` order, are per point."""
         geometry, moves = self.geometry, self.product.moves
         # per pair: the number of its column 0, its columns, and what a read
         # past them needs of its geometry
@@ -288,29 +308,10 @@ class QuotientColoring:
         readers: list[set[int]] = [set() for _ in g]
 
         def lay_out(reader: int, t: Node, n2: int, hi: int, d2: int) -> tuple[int, list]:
-            first, cols, span, rho, rho2, k, X, Y = targets[t]
-            top = hi + d2
-            if n2 < len(cols) and top <= cols[n2][1]:  # inside the window column
-                readers[first + n2].add(reader)
-                return hi + 1, [(first + n2, -d2, cols[n2][0] - 1 - d2)]
-            low, high = span(n2)
-            top = min(top, high)  # above it, the above-zone
-            segs = []
-            # a point beyond the cap wraps by the larger of its two bands
-            s_n = 0 if n2 <= X else -(-(n2 - X) // (k * rho)) if rho else None
-            m2 = top
-            while m2 >= low:
-                s_m = 0 if m2 <= Y else -(-(m2 - Y) // (k * rho2)) if rho2 else None
-                if s_n is None or s_m is None:
-                    raise GeometryError(f"{t}: ({n2}, {m2}) has no wrap into the window")
-                s, bottom = (s_m, Y + (s_m - 1) * k * rho2 + 1) if s_m > s_n else (s_n, low)
-                n1 = n2 - s * k * rho
-                if not 0 <= n1 < len(cols):
-                    raise GeometryError(f"{t}: wrap of column {n2} left the window at {n1}")
-                readers[first + n1].add(reader)
-                segs.append((first + n1, s * k * rho2 - d2, bottom - d2))
-                m2 = bottom - 1
-            return top + 1 - d2, segs
+            read = _lay_out(targets, t, n2, hi, d2)
+            for col, _, _ in read[1]:
+                readers[col].add(reader)
+            return read
 
         # per column, per enabled rule, per reply: its layout
         layout: list[list[list[tuple[int, list]]]] = []
@@ -353,6 +354,7 @@ class QuotientColoring:
                         queued[r] = 1
                         queue.append(r)
         del layout, readers  # the expansion below reuses their memory
+        self._targets, self._g = targets, g
         out: dict[Node, dict[Point, bool]] = {}
         for pair, (first, cols, *_) in targets.items():
             # column by column, as `window_points` lists them
@@ -373,37 +375,53 @@ class QuotientColoring:
                 return False
         return True
 
-    def fringe(self, pair: Node) -> list[Point]:
-        """Window points whose k*slope translate leaves the window: exactly
-        the wrap targets of all points beyond it.  Column by column, that is
-        the whole column n when n + k*rho > X, else its points above
-        Y - k*rho'."""
-        geo = self.geometry[pair]
-        X, Y = geo.cap
-        step, step2 = geo.k * geo.slope.rho, geo.k * geo.slope.rho_prime
-        return [
-            (n, m)
-            for n, (lo, hi) in enumerate(geo.columns())
-            for m in range(lo if n + step > X else max(lo, Y - step2 + 1), hi + 1)
-        ]
-
     def certify_periodicity(self) -> list[str]:
         """Verify that the periodic extension is self-supporting.
 
-        For every wrap target, the one-step condition is checked explicitly at
-        its first M translates, where M is computed so that every geometric
-        test any lookup can make (belt and zone boundaries, window caps of
-        successor pairs) has constant outcome beyond M.  Past that horizon the
-        checked conditions repeat verbatim, so all translates are covered.
+        The one-step condition is checked at the first M translates of every
+        true point of the fringe, the wrap targets of all points beyond the
+        window (`PairGeometry.fringe`).  M is computed so that every
+        geometric test any lookup can make (belt and zone boundaries, window
+        caps of successor pairs) has constant outcome beyond M.  Past that
+        horizon the checked conditions repeat verbatim, so all translates
+        are covered.
+
+        A solved coloring's true fringe in column n is the range [b, t] of
+        its points from the threshold up, and `_translates_hold` checks it a
+        translate at a time: translate s is column n + s*k*rho over the range
+        shifted by s*k*rho'.  It passes when every Spoiler rule enabled there
+        has a reply whose read, laid out as the solver lays out its reads,
+        has its threshold at most the range's bottom.  Such a reply lands on
+        a true point at every m of the range, so the test is sound.  It can
+        fail where the condition holds, when a rule's replies cover the range
+        only between them; then, or when laying out a read raises, the
+        column's points are checked one at a time with `condition_holds`, as
+        every column is for a coloring of given values.  The layout covers
+        every point a lookup of the passing test's replies reads, and reads
+        each as the lookup does, so a column that passes would pass point by
+        point, with no lookup raising.  The failures, their order and any
+        GeometryError are therefore those of the point test.
         """
         failures: list[str] = []
+        g = self._g
         for pair, geo in self.geometry.items():
-            fringe = self.fringe(pair)
-            true_fringe = [pt for pt in fringe if self.values[pair][pt]]
-            if not true_fringe:
+            vals = self.values[pair]
+            first = 0 if g is None else self._targets[pair][0]
+            fringe: list[tuple[int, range | list[int]]] = []  # per column, its true fringe
+            for n, (lo, hi) in enumerate(geo.fringe()):
+                if g is None:
+                    ms = [m for m in range(lo, hi + 1) if vals[n, m]]
+                else:
+                    ms = range(max(lo, g[first + n]), hi + 1)
+                if ms:
+                    fringe.append((n, ms))
+            if not fringe:
                 continue
             step = (geo.k * geo.slope.rho, geo.k * geo.slope.rho_prime)
-            bbox = _bbox_with_margin(true_fringe, 1)
+            bbox = (
+                (max(0, fringe[0][0] - 1), max(0, min(ms[0] for _, ms in fringe) - 1)),
+                (fringe[-1][0] + 1, max(ms[-1] for _, ms in fringe) + 1),
+            )
             horizon = 1
             for other in {*self.product.successors[pair], pair}:
                 og = self.geometry[other]
@@ -415,14 +433,45 @@ class QuotientColoring:
             if horizon > HORIZON_CAP:
                 failures.append(f"{pair}: periodicity horizon {horizon} exceeds cap")
                 continue
-            for pt in true_fringe:
-                x, y = pt
-                for m in range(1, horizon + 1):
-                    cand = (x + m * step[0], y + m * step[1])
-                    if not self.condition_holds(pair, cand):
-                        failures.append(f"{pair}: condition fails at translate {cand}")
-                        break
+            for n, ms in fringe:
+                if g is not None and self._translates_hold(pair, n, ms, step, horizon):
+                    continue
+                for m in ms:
+                    for s in range(1, horizon + 1):
+                        cand = (n + s * step[0], m + s * step[1])
+                        if not self.condition_holds(pair, cand):
+                            failures.append(f"{pair}: condition fails at translate {cand}")
+                            break
         return failures
+
+    def _translates_hold(
+        self, pair: Node, n: int, ms: range, step: Point, horizon: int
+    ) -> bool:
+        """Whether the column test passes the true range ms of window column
+        n at each of its first `horizon` translates by `step`.  A read's
+        threshold is walked from the thresholds as the solver walks it."""
+        targets, g = self._targets, self._g
+        try:
+            for s in range(1, horizon + 1):
+                n1, bottom, top = n + s * step[0], ms[0] + s * step[1], ms[-1] + s * step[1]
+                for _, d, replies in self.product.moves[pair]:
+                    if n1 + d < 0:
+                        continue
+                    for d2, t in replies:
+                        thr, segs = _lay_out(targets, t, n1 + d, top, d2, strict=True)
+                        for col, shift, low in segs:
+                            m = g[col] + shift
+                            if m > low:
+                                thr = min(thr, m)
+                                break
+                            thr = low
+                        if thr <= bottom:
+                            break
+                    else:
+                        return False
+        except GeometryError:
+            return False
+        return True
 
     def false_points(self) -> list[tuple[Node, Point]]:
         """The excluded window points."""
@@ -453,13 +502,42 @@ class QuotientColoring:
         return {"schema": 1, "l0": list(l0), "pairs": pairs}
 
 
-def _bbox_with_margin(points: list[Point], margin: int) -> tuple[Point, Point]:
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    return (
-        (max(0, min(xs) - margin), max(0, min(ys) - margin)),
-        (max(xs) + margin, max(ys) + margin),
-    )
+def _lay_out(targets: dict[Node, tuple], t: Node, n2: int, hi: int, d2: int, strict: bool = False):
+    """The layout of a read of pair t's column n2 by a range whose highest m
+    is hi, through a reply of counter change d2: the read's threshold if its
+    top is false, then per segment from the top down, the number of the
+    window column it reads, the m shift and the segment's lowest m, all in
+    the reader's m.  `targets` holds, per pair, the number of its column 0,
+    its columns and the geometry a read past them needs.
+
+    A wrap that leaves the window, or that has none, raises GeometryError.
+    With `strict`, so does a wrap band landing outside its window column's
+    belt range, where `QuotientColoring.lookup` would raise; the solver
+    reads such a band as it reads the column."""
+    first, cols, span, rho, rho2, k, X, Y = targets[t]
+    top = hi + d2
+    if n2 < len(cols) and top <= cols[n2][1]:  # inside the window column
+        return hi + 1, [(first + n2, -d2, cols[n2][0] - 1 - d2)]
+    low, high = span(n2)
+    top = min(top, high)  # above it, the above-zone
+    segs = []
+    # a point beyond the cap wraps by the larger of its two bands
+    s_n = 0 if n2 <= X else -(-(n2 - X) // (k * rho)) if rho else None
+    m2 = top
+    while m2 >= low:
+        s_m = 0 if m2 <= Y else -(-(m2 - Y) // (k * rho2)) if rho2 else None
+        if s_n is None or s_m is None:
+            raise GeometryError(f"{t}: ({n2}, {m2}) has no wrap into the window")
+        s, bottom = (s_m, Y + (s_m - 1) * k * rho2 + 1) if s_m > s_n else (s_n, low)
+        n1 = n2 - s * k * rho
+        if not 0 <= n1 < len(cols):
+            raise GeometryError(f"{t}: wrap of column {n2} left the window at {n1}")
+        shift = s * k * rho2
+        if strict and not cols[n1][0] <= bottom - shift <= m2 - shift <= cols[n1][1]:
+            raise GeometryError(f"{t}: wrap of ({n2}, {m2}) left the belt of column {n1}")
+        segs.append((first + n1, shift - d2, bottom - d2))
+        m2 = bottom - 1
+    return top + 1 - d2, segs
 
 
 def _crossing_horizon(bbox: tuple[Point, Point], step: Point, og: PairGeometry) -> int:
@@ -995,10 +1073,12 @@ class StrongSimEngine:
     def export_coloring(self) -> QuotientColoring | None:
         """A copy of the certified coloring that callers may change: its own
         window values, sharing the immutable geometry and product.  It is
-        made without `__init__`, which would solve the game again."""
+        made without `__init__`, which would solve the game again, and
+        without the thresholds, which its values may leave."""
         col = self.certified_coloring()
         if col is None:
             return None
         out = copy.copy(col)
         out.values = {pair: dict(vals) for pair, vals in col.values.items()}
+        out._targets = out._g = None
         return out

@@ -378,9 +378,89 @@ def test_fringe_is_every_point_whose_translate_leaves_the_window():
                 pt for pt in col.values[pair]
                 if not geo.in_window((pt[0] + step[0], pt[1] + step[1]))
             ]
-            assert col.fringe(pair) == scan, (case, pair)
+            ranges = geo.fringe()
+            assert len(ranges) == len(geo.columns()), (case, pair)
+            fringe = [(n, m) for n, (lo, hi) in enumerate(ranges) for m in range(lo, hi + 1)]
+            assert fringe == scan, (case, pair)
             kinds.add(_belt_kind(geo.slope))
     assert kinds >= {"vertical", "horizontal", "steep", "shallow"}
+
+
+def _counting_condition_holds(monkeypatch):
+    calls = []
+    holds = QuotientColoring.condition_holds
+
+    def counted(self, pair, pt):
+        calls.append((pair, pt))
+        return holds(self, pair, pt)
+
+    monkeypatch.setattr(QuotientColoring, "condition_holds", counted)
+    return calls
+
+
+def test_column_certification_matches_the_point_test(monkeypatch):
+    # a solved coloring certifies its translated columns from the
+    # thresholds; one of the same values has none and checks every point
+    calls = _counting_condition_holds(monkeypatch)
+    for case, col in _belt_case_colorings():
+        calls.clear()
+        by_columns = col.certify_periodicity()
+        assert calls == [], case  # no column fell back to the point test
+        points = QuotientColoring(col.product, col.geometry, col.values)
+        assert by_columns == points.certify_periodicity(), case
+
+
+def test_failed_column_test_falls_back_to_the_point_test(monkeypatch):
+    # seed 7's window at round 0 with the last column of (s0, d0), which
+    # lies in the fringe, made true from its lowest m: its translates no
+    # longer hold, and the column's points are checked one at a time
+    eng = _engine(*random_pair(7))
+    j, k, _ = eng.schedule[0]
+    col = QuotientColoring(eng.product, eng.geometry(j, k))
+    assert col.certify_periodicity() == []
+    pair = ("s0", "d0")
+    geo = col.geometry[pair]
+    n, (lo, hi) = len(geo.columns()) - 1, geo.columns()[-1]
+    assert geo.fringe()[n] == (lo, hi)
+    first = col._targets[pair][0]
+    assert lo < col._g[first + n] <= hi
+    raised = dict.fromkeys([(n, m) for m in range(lo, col._g[first + n])], True)
+    col.values[pair].update(raised)
+    col._g[first + n] = lo
+    calls = _counting_condition_holds(monkeypatch)
+    failures = col.certify_periodicity()
+    assert calls and {p for p, _ in calls} == {pair}
+    assert len(failures) > 1
+    assert failures == QuotientColoring(col.product, col.geometry, col.values).certify_periodicity()
+    # an export has no thresholds, so the same change to its values alone
+    # is certified point by point
+    exported = eng.export_coloring()
+    exported.values[pair].update(raised)
+    assert exported.values == col.values
+    assert exported.certify_periodicity() == failures
+
+
+def test_column_test_raises_where_a_lookup_raises():
+    # a window the engine never builds, where the (s1, d1) belt of slope
+    # (2, 1) wraps a translate's read below m = 0: a lookup raises there,
+    # so the column test falls back and the point test raises as it would
+    # alone, where reading that band as its column would pass
+    eng = _engine(*random_pair(44))
+    shape = {
+        ("s0", "d0"): (Slope(1, 0), 2),
+        ("s0", "d1"): (Slope(1, 0), 0),
+        ("s1", "d0"): (Slope(1, 0), 0),
+        ("s1", "d1"): (Slope(2, 1), 3),
+    }
+    assert set(shape) == set(eng.product.nodes)
+    geometry = {pair: PairGeometry(pair, s, c, (2, 4), 1, 3) for pair, (s, c) in shape.items()}
+    col = QuotientColoring(eng.product, geometry)
+    errors = []
+    for checked in (col, QuotientColoring(eng.product, geometry, col.values)):
+        with pytest.raises(GeometryError, match="left the window") as exc:
+            checked.certify_periodicity()
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
 
 
 def test_quotient_folds_replies_into_their_own_column():
