@@ -131,16 +131,16 @@ class PairGeometry(Belt):
             return [(0, Y)] * (min(X, self.c) + 1)
         return [(lo, min(Y, hi)) for lo, hi in map(self.span, range(X + 1))]
 
-    def fringe(self) -> list[tuple[int, int]]:
+    def fringe(self, cols: list[tuple[int, int]]) -> list[tuple[int, int]]:
         """Per window column n, the lowest and highest m of its points whose
         k*slope translate leaves the window, the wrap targets of all points
         beyond it: the whole column when n + k*rho > X, else its points
-        above Y - k*rho'."""
+        above Y - k*rho'.  `cols` are the window's `columns()`."""
         X, Y = self.cap
         step, step2 = self.k * self.slope.rho, self.k * self.slope.rho_prime
         return [
             (lo if n + step > X else max(lo, Y - step2 + 1), hi)
-            for n, (lo, hi) in enumerate(self.columns())
+            for n, (lo, hi) in enumerate(cols)
         ]
 
     def window_points(self) -> list[Point]:
@@ -197,11 +197,13 @@ class QuotientColoring:
     """A periodic coloring: per pair, the window values of the quotient-game
     greatest fixpoint, looked up through the zones and the k*slope wrap.
 
-    The values are solved on construction, as one threshold per window
-    column expanded to the column's points, and the solver's columns and
-    thresholds are kept for `certify_periodicity`.  Values may be given
-    instead, as when checking an exported coloring: such a coloring has no
-    thresholds, and is certified point by point.
+    A solved coloring is its column thresholds: per pair, the number of its
+    first window column and its columns (`_targets`), and per column one
+    threshold (`_g`), the least true m.  It keeps nothing per point: its
+    `values` are derived from the thresholds when read, and not kept.
+    Values may be given instead, as when checking an exported coloring:
+    such a coloring keeps its dicts, has no thresholds, and is certified
+    point by point.
     """
 
     def __init__(
@@ -216,20 +218,65 @@ class QuotientColoring:
         # a read past them needs; per column, its threshold
         self._targets: dict[Node, tuple] | None = None
         self._g: list[int] | None = None
-        self.values = self._solve() if values is None else values
+        self._values = values
+        if values is None:
+            self._solve()
         self.certified_yes = False
         self.exact = False
+
+    @property
+    def values(self) -> dict[Node, dict[Point, bool]]:
+        """Per pair, its window points in `window_points` order, each with
+        its value.  A solved coloring builds them afresh on every read."""
+        if self._g is None:
+            return self._values
+        return {pair: self._window(pair) for pair in self._targets}
+
+    def _thresholds(self, pair: Node) -> list[tuple[int, int, int]]:
+        """Per window column of a solved coloring's pair: its lowest m, its
+        highest m and its threshold."""
+        first, cols = self._targets[pair][:2]
+        return [(lo, hi, g) for (lo, hi), g in zip(cols, self._g[first : first + len(cols)])]
+
+    def _window(self, pair: Node) -> dict[Point, bool]:
+        """The pair's part of `values`, built alone for a solved coloring."""
+        if self._g is None:
+            return self._values[pair]
+        return {
+            (n, m): m >= g
+            for n, (lo, hi, g) in enumerate(self._thresholds(pair))
+            for m in range(lo, hi + 1)
+        }
+
+    def _true_points(self, pair: Node):
+        """The pair's true window points, column by column."""
+        if self._g is None:
+            return (pt for pt, v in self._values[pair].items() if v)
+        return (
+            (n, m)
+            for n, (lo, hi, g) in enumerate(self._thresholds(pair))
+            for m in range(max(lo, g), hi + 1)
+        )
 
     # -- lookup ------------------------------------------------------------
 
     def lookup(self, pair: Node, pt: Point) -> bool:
+        """The point's value: its zone's, else its window slot's.  A solved
+        coloring compares the slot's m with its column's threshold.  A slot
+        outside the window's columns raises GeometryError."""
         slot = self.geometry[pair].resolve(pt)
         if isinstance(slot, bool):
             return slot
-        try:
-            return self.values[pair][slot]
-        except KeyError as exc:
-            raise GeometryError(f"{pair}: {slot} missing from window") from exc
+        if self._g is None:
+            try:
+                return self._values[pair][slot]
+            except KeyError as exc:
+                raise GeometryError(f"{pair}: {slot} missing from window") from exc
+        first, cols = self._targets[pair][:2]
+        n, m = slot
+        if not (0 <= n < len(cols) and cols[n][0] <= m <= cols[n][1]):
+            raise GeometryError(f"{pair}: {slot} missing from window")
+        return m >= self._g[first + n]
 
     def _alternatives(self, pair: Node, pt: Point):
         """Enabled one-round alternatives: per enabled Spoiler rule, the list
@@ -242,7 +289,7 @@ class QuotientColoring:
 
     # -- greatest fixpoint ---------------------------------------------------
 
-    def _solve(self) -> dict[Node, dict[Point, bool]]:
+    def _solve(self) -> None:
         """A worklist over window columns.  Simulation is upward closed in
         Duplicator's counter (the monotonicity lemma that `SpoilerAttractor`
         proves for Spoiler's wins), so the solver keeps, per pair p and
@@ -290,9 +337,9 @@ class QuotientColoring:
         the greatest fixpoint of the point game and `true` is always sound.
         It is that fixpoint whenever every read range is upward closed,
         which the `_kleene` reference of the tests checks.  The solver's
-        state is per column: the coloring keeps each pair's first column and
-        columns with the thresholds, for `certify_periodicity`.  Only the
-        expanded `values`, in `window_points` order, are per point."""
+        state is per column, and so is its result: the coloring keeps each
+        pair's first column and columns (`_targets`) and the thresholds
+        (`_g`), and nothing per point."""
         geometry, moves = self.geometry, self.product.moves
         # per pair: the number of its column 0, its columns, and what a read
         # past them needs of its geometry
@@ -353,17 +400,7 @@ class QuotientColoring:
                     if not queued[r]:
                         queued[r] = 1
                         queue.append(r)
-        del layout, readers  # the expansion below reuses their memory
         self._targets, self._g = targets, g
-        out: dict[Node, dict[Point, bool]] = {}
-        for pair, (first, cols, *_) in targets.items():
-            # column by column, as `window_points` lists them
-            out[pair] = {
-                (n, m): m >= g[first + n]
-                for n, (lo, hi) in enumerate(cols)
-                for m in range(lo, hi + 1)
-            }
-        return out
 
     # -- verification --------------------------------------------------------
 
@@ -405,10 +442,12 @@ class QuotientColoring:
         failures: list[str] = []
         g = self._g
         for pair, geo in self.geometry.items():
-            vals = self.values[pair]
-            first = 0 if g is None else self._targets[pair][0]
+            if g is None:
+                vals, cols = self._values[pair], geo.columns()
+            else:
+                first, cols = self._targets[pair][:2]
             fringe: list[tuple[int, range | list[int]]] = []  # per column, its true fringe
-            for n, (lo, hi) in enumerate(geo.fringe()):
+            for n, (lo, hi) in enumerate(geo.fringe(cols)):
                 if g is None:
                     ms = [m for m in range(lo, hi + 1) if vals[n, m]]
                 else:
@@ -485,7 +524,7 @@ class QuotientColoring:
         for pair in sorted(self.geometry):
             geo = self.geometry[pair]
             blocks: dict[str, list[list[int]]] = {"init": [], "aper": [], "per": []}
-            for pt, v in self.values[pair].items():
+            for pt, v in self._window(pair).items():
                 if v:
                     block = "init" if geo.in_rect(pt, 0) else "aper" if geo.in_rect(pt, geo.j) else "per"
                     blocks[block].append(list(pt))
@@ -823,9 +862,8 @@ def find_equal_cross_sections(col: QuotientColoring, pair: Node) -> tuple[int, i
     top = geo.cap[axis] - 1
 
     by_level: dict[int, set[Point]] = {}
-    for pt, v in col.values[pair].items():
-        if v:
-            by_level.setdefault(pt[axis], set()).add(pt)
+    for pt in col._true_points(pair):
+        by_level.setdefault(pt[axis], set()).add(pt)
 
     def true_section(level: int) -> frozenset[Point]:
         return frozenset(by_level.get(level, set()) | by_level.get(level + 1, set()))
@@ -986,16 +1024,26 @@ class StrongSimEngine:
     def _ensure_exact(self, col: QuotientColoring) -> bool:
         """Upgrade a YES-certified coloring to a fully exact description:
         confirm every excluded window point by a Spoiler win within the depth
-        cap and find equal cross-sections, so wrap answers are valid for both
-        colors."""
+        cap, asking the attractor one point per column, and find equal
+        cross-sections, so wrap answers are valid for both colors."""
         if col.exact:
             return True
         if not col.certified_yes:
             return False
-        if self._attractor.unconfirmed(col.false_points(), self.limits.spoiler_depth_cap):
+        # Spoiler's wins are downward closed in m, so a column's highest false
+        # point is won last, and no point below it has a larger coordinate:
+        # `unconfirmed` sizes its grid and runs its rounds as for them all
+        tops = [
+            (pair, (n, g - 1))
+            for pair in col.geometry
+            for n, (lo, _, g) in enumerate(col._thresholds(pair))
+            if g > lo
+        ]
+        if self._attractor.unconfirmed(tops, self.limits.spoiler_depth_cap):
             return False
-        for pair in col.values:
-            if any(col.values[pair].values()) and find_equal_cross_sections(col, pair) is None:
+        for pair in col.geometry:
+            has_true = any(g <= hi for _, hi, g in col._thresholds(pair))
+            if has_true and find_equal_cross_sections(col, pair) is None:
                 return False
         col.exact = True
         return True
@@ -1072,13 +1120,14 @@ class StrongSimEngine:
 
     def export_coloring(self) -> QuotientColoring | None:
         """A copy of the certified coloring that callers may change: its own
-        window values, sharing the immutable geometry and product.  It is
-        made without `__init__`, which would solve the game again, and
-        without the thresholds, which its values may leave."""
+        window values, expanded once from the thresholds, sharing the
+        immutable geometry and product.  It is made without `__init__`,
+        which would solve the game again, and without the thresholds, which
+        its values may leave."""
         col = self.certified_coloring()
         if col is None:
             return None
         out = copy.copy(col)
-        out.values = {pair: dict(vals) for pair, vals in col.values.items()}
+        out._values = col.values
         out._targets = out._g = None
         return out

@@ -155,6 +155,7 @@ def check_candidate(nets: tuple[Ocn, Ocn], col, window: tuple[int, int]) -> list
     """
     spoiler_net, dup_net = nets
     max_n, max_m = window
+    values = col.values
     memo: dict[tuple[Node, int, int], bool] = {}
 
     def member(pair: Node, n: int, m: int) -> bool:
@@ -182,10 +183,10 @@ def check_candidate(nets: tuple[Ocn, Ocn], col, window: tuple[int, int]) -> list
             m -= geo.k * rho2
             if n < 0 or m < 0:
                 return False
-        return col.values[pair].get((n, m), False)
+        return values[pair].get((n, m), False)
 
     violations = []
-    for pair in col.values:
+    for pair in values:
         q, q2 = pair
         for n in range(max_n + 1):
             for m in range(max_m + 1):

@@ -1,6 +1,10 @@
 import copy
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -325,10 +329,11 @@ def _kleene(product, geometry):
 
 
 def _assert_solved_window(col, case):
+    values = col.values
     for pair, geo in col.geometry.items():
-        # false_points follows this order, and it orders the attractor's goals
-        assert list(col.values[pair]) == geo.window_points(), (case, pair)
-    assert col.values == _kleene(col.product, col.geometry), case
+        # `false_points` and `verify_coloring` list the points in this order
+        assert list(values[pair]) == geo.window_points(), (case, pair)
+    assert values == _kleene(col.product, col.geometry), case
     return col
 
 
@@ -372,13 +377,14 @@ def test_quotient_values_are_the_greatest_fixpoint():
 def test_fringe_is_every_point_whose_translate_leaves_the_window():
     kinds = set()
     for case, col in _belt_case_colorings():
+        values = col.values
         for pair, geo in col.geometry.items():
             step = (geo.k * geo.slope.rho, geo.k * geo.slope.rho_prime)
             scan = [
-                pt for pt in col.values[pair]
+                pt for pt in values[pair]
                 if not geo.in_window((pt[0] + step[0], pt[1] + step[1]))
             ]
-            ranges = geo.fringe()
+            ranges = geo.fringe(geo.columns())
             assert len(ranges) == len(geo.columns()), (case, pair)
             fringe = [(n, m) for n, (lo, hi) in enumerate(ranges) for m in range(lo, hi + 1)]
             assert fringe == scan, (case, pair)
@@ -412,8 +418,9 @@ def test_column_certification_matches_the_point_test(monkeypatch):
 
 def test_failed_column_test_falls_back_to_the_point_test(monkeypatch):
     # seed 7's window at round 0 with the last column of (s0, d0), which
-    # lies in the fringe, made true from its lowest m: its translates no
-    # longer hold, and the column's points are checked one at a time
+    # lies in the fringe, made true from its lowest m by lowering its
+    # threshold: its translates no longer hold, and the column's points are
+    # checked one at a time
     eng = _engine(*random_pair(7))
     j, k, _ = eng.schedule[0]
     col = QuotientColoring(eng.product, eng.geometry(j, k))
@@ -421,11 +428,10 @@ def test_failed_column_test_falls_back_to_the_point_test(monkeypatch):
     pair = ("s0", "d0")
     geo = col.geometry[pair]
     n, (lo, hi) = len(geo.columns()) - 1, geo.columns()[-1]
-    assert geo.fringe()[n] == (lo, hi)
+    assert geo.fringe(geo.columns())[n] == (lo, hi)
     first = col._targets[pair][0]
     assert lo < col._g[first + n] <= hi
     raised = dict.fromkeys([(n, m) for m in range(lo, col._g[first + n])], True)
-    col.values[pair].update(raised)
     col._g[first + n] = lo
     calls = _counting_condition_holds(monkeypatch)
     failures = col.certify_periodicity()
@@ -440,11 +446,10 @@ def test_failed_column_test_falls_back_to_the_point_test(monkeypatch):
     assert exported.certify_periodicity() == failures
 
 
-def test_column_test_raises_where_a_lookup_raises():
-    # a window the engine never builds, where the (s1, d1) belt of slope
-    # (2, 1) wraps a translate's read below m = 0: a lookup raises there,
-    # so the column test falls back and the point test raises as it would
-    # alone, where reading that band as its column would pass
+def _hand_window():
+    """The product of `random_pair(44)` and a window the engine never
+    builds, whose (s1, d1) belt of slope (2, 1) wraps some points beyond
+    the window below m = 0."""
     eng = _engine(*random_pair(44))
     shape = {
         ("s0", "d0"): (Slope(1, 0), 2),
@@ -454,13 +459,59 @@ def test_column_test_raises_where_a_lookup_raises():
     }
     assert set(shape) == set(eng.product.nodes)
     geometry = {pair: PairGeometry(pair, s, c, (2, 4), 1, 3) for pair, (s, c) in shape.items()}
-    col = QuotientColoring(eng.product, geometry)
+    return eng.product, geometry
+
+
+def test_column_test_raises_where_a_lookup_raises():
+    # a translate's read wraps below m = 0 in the hand-built window: a
+    # lookup raises there, so the column test falls back and the point test
+    # raises as it would alone, where reading that band as its column would
+    # pass
+    product, geometry = _hand_window()
+    col = QuotientColoring(product, geometry)
     errors = []
-    for checked in (col, QuotientColoring(eng.product, geometry, col.values)):
+    for checked in (col, QuotientColoring(product, geometry, col.values)):
         with pytest.raises(GeometryError, match="left the window") as exc:
             checked.certify_periodicity()
         errors.append(str(exc.value))
     assert errors[0] == errors[1]
+
+
+def _lookups(col, pair, box):
+    """The lookup of every point of [-1, X] x [-1, Y], or its error message."""
+    out = []
+    for n in range(-1, box[0] + 1):
+        for m in range(-1, box[1] + 1):
+            try:
+                out.append(col.lookup(pair, (n, m)))
+            except GeometryError as exc:
+                out.append(str(exc))
+    return out
+
+
+def test_lookup_from_thresholds_matches_the_window_values():
+    # a solved coloring looks a slot up by its column's threshold; the
+    # coloring given its values reads their dicts.  Every point of a box
+    # two periods past the cap gets the same value or the same error from
+    # both: a wrap that leaves the window, or a slot outside the window's
+    # columns (at a negative coordinate; a wrap lands in the belt).
+    windows = [_hand_window()]
+    for seed in range(20):
+        eng = _engine(*random_pair(seed))
+        j, k, _ = eng.schedule[0]
+        windows.append((eng.product, eng.geometry(j, k)))
+    errors = {"left the window": 0, "missing from window": 0}
+    for product, geometry in windows:
+        col = QuotientColoring(product, geometry)
+        given = QuotientColoring(product, geometry, col.values)
+        for pair, geo in geometry.items():
+            X, Y = geo.cap
+            box = (X + 2 * geo.k * geo.slope.rho, Y + 2 * geo.k * geo.slope.rho_prime)
+            solved = _lookups(col, pair, box)
+            assert solved == _lookups(given, pair, box), pair
+            for error in errors:
+                errors[error] += sum(isinstance(x, str) and error in x for x in solved)
+    assert all(errors.values()), errors
 
 
 def test_quotient_folds_replies_into_their_own_column():
@@ -474,9 +525,9 @@ def test_quotient_folds_replies_into_their_own_column():
 
     def lows(col):
         """Per column of (p, q), its least true m, None when all false."""
-        width = len(col.geometry[pq].columns())
+        width, vals = len(col.geometry[pq].columns()), col.values[pq]
         return [
-            min((m for (n2, m), v in col.values[pq].items() if n2 == n and v), default=None)
+            min((m for (n2, m), v in vals.items() if n2 == n and v), default=None)
             for n in range(width)
         ]
 
@@ -501,6 +552,43 @@ def test_quotient_values_are_the_greatest_fixpoint_on_chains_and_cycles():
     for n in (5, 10, 20):
         for cycle in (False, True):
             _assert_greatest_fixpoint(_engine(*chain_pair(n, cycle)), 0, (n, cycle))
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_chain_decide_keeps_the_thresholds_only():
+    # the chain at n = 100 has 4,110,700 round-0 window points in 10,100
+    # columns, and a solved coloring keeps only the columns' thresholds:
+    # one decide peaks under 100 MB, where point dicts took 441 MB.  It
+    # runs in a child, whose VmHWM counts its own pages only: ru_maxrss
+    # would also count the pages of pytest that the child held until exec.
+    code = (
+        "from nets import chain_pair\n"
+        "from ocnsim.coloring import StrongSimEngine\n"
+        "print(StrongSimEngine(*chain_pair(100)).decide(('s0', 3), ('d', 5)))\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    print(*[line.split()[1] for line in fh if line.startswith('VmHWM:')])\n"
+    )
+    path = [str(Path(core.__file__).parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, encoding="utf-8", env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    answer, peak_kb = proc.stdout.split()
+    assert answer == "False"
+    assert int(peak_kb) < 100 * 1024, peak_kb
+
+
+def test_engine_colorings_hold_no_point_dicts():
+    # values are built only for an export, and there only once
+    eng = _engine(NET_A, NET_ACOPY)
+    for n in range(0, 40, 3):
+        for m in range(0, 40, 3):
+            eng.decide(("p", n), ("q", m))
+    exported = eng.export_coloring()
+    assert eng.exact_coloring() is not None
+    assert exported._values is not None and exported._g is None
+    assert eng.colorings and all(col._values is None for col in eng.colorings.values())
 
 
 def test_quotient_values_are_the_greatest_fixpoint_on_converged_engines():
@@ -836,6 +924,21 @@ def test_spoiler_win_past_round_0_builds_no_further_coloring():
     assert list(eng.colorings) == [(j0, k0)] and (j1, k1) != (j0, k0)
 
 
+def test_exactness_asks_each_column_as_every_false_point():
+    # the exactness upgrade asks the attractor for each column's highest
+    # false point only; asking for every false point confirms the same
+    # columns, on a grid of the same size after as many rounds
+    cap = EngineLimits().spoiler_depth_cap
+    for seed in range(30):
+        eng = _engine(*random_pair(seed))
+        j, k, _ = eng.schedule[0]
+        col = eng.coloring(j, k)
+        assert eng._ensure_exact(col), seed
+        att = SpoilerAttractor(eng.product)
+        assert att.unconfirmed(col.false_points(), cap) == [], seed
+        assert (att.bound, att.max_rank) == (eng._attractor.bound, eng._attractor.max_rank), seed
+
+
 def test_belt_point_beyond_the_window_needs_no_deep_attractor():
     # p:5001 q:5000 lies in the belt far beyond every window: the exact
     # coloring answers it, so the attractor grid stays near the window
@@ -870,6 +973,8 @@ def test_cross_sections_a_vs_a():
     assert res is not None
     level1, level2, k = res
     assert k == 1 and level2 == level1 + 1
+    # an export reads its true points from its values, not its thresholds
+    assert find_equal_cross_sections(eng.export_coloring(), ("p", "q")) == res
 
 
 def test_cross_sections_all_win_pair():
