@@ -113,7 +113,7 @@ def check(mode, tau, as_json, max_depth, max_period, max_rect, dump_dir,
         answer = None  # out of stack or memory: a resource cap, not a verdict
     if engine is not None:
         belts_used = engine.product.K
-        col = next((c for c in engine.colorings.values() if c.certified_yes), None)
+        col = next((c for c in engine.colorings.values() if c is not None and c.certified_yes), None)
         if col is not None:
             geo = next(iter(col.geometry.values()))
             j, k = geo.j, geo.k
@@ -229,7 +229,7 @@ def export(out, pairs_opt, net_a, net_b):
                 sys.exit(EXIT_PARSE)
             keep.add((q, q2))
     engine = StrongSimEngine(spoiler, duplicator)
-    col = engine.export_coloring()
+    col = engine.certified_coloring()
     if col is None:
         print("undecided: no certified coloring within the caps", file=sys.stderr)
         return EXIT_UNDECIDED

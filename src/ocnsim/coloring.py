@@ -44,7 +44,9 @@ Point = tuple[int, int]
 
 
 class GeometryError(RuntimeError):
-    """Internal inconsistency: a wrap edge left its belt or window."""
+    """A wrap left its window or its window column's belt range: a resource
+    cap in a round whose window is cut below j0, else a fault (see
+    `StrongSimEngine.coloring`)."""
 
 
 class Belt:
@@ -230,23 +232,20 @@ class QuotientColoring:
         its value.  A solved coloring builds them afresh on every read."""
         if self._g is None:
             return self._values
-        return {pair: self._window(pair) for pair in self._targets}
+        return {
+            pair: {
+                (n, m): m >= g
+                for n, (lo, hi, g) in enumerate(self._thresholds(pair))
+                for m in range(lo, hi + 1)
+            }
+            for pair in self._targets
+        }
 
     def _thresholds(self, pair: Node) -> list[tuple[int, int, int]]:
         """Per window column of a solved coloring's pair: its lowest m, its
         highest m and its threshold."""
         first, cols = self._targets[pair][:2]
         return [(lo, hi, g) for (lo, hi), g in zip(cols, self._g[first : first + len(cols)])]
-
-    def _window(self, pair: Node) -> dict[Point, bool]:
-        """The pair's part of `values`, built alone for a solved coloring."""
-        if self._g is None:
-            return self._values[pair]
-        return {
-            (n, m): m >= g
-            for n, (lo, hi, g) in enumerate(self._thresholds(pair))
-            for m in range(lo, hi + 1)
-        }
 
     def _true_points(self, pair: Node):
         """The pair's true window points, column by column."""
@@ -313,7 +312,9 @@ class QuotientColoring:
         shift and the segment's lowest m, all less d2.  A window column's
         segment is given its lowest m less one, below any threshold, since
         the below-zone follows it.  A re-evaluation scans the segments to
-        the first one with a false point.  Each window column records the
+        the first one with a false point.  A layout raises GeometryError
+        wherever `lookup` of a point the read passes would, so the solver
+        reads the window as `lookup` does.  Each window column records the
         columns whose layout reads it, which are queued again whenever its
         threshold rises.
         Reads only rise with the thresholds, so a rule's min stops at its
@@ -497,7 +498,7 @@ class QuotientColoring:
                     if n1 + d < 0:
                         continue
                     for d2, t in replies:
-                        thr, segs = _lay_out(targets, t, n1 + d, top, d2, strict=True)
+                        thr, segs = _lay_out(targets, t, n1 + d, top, d2)
                         for col, shift, low in segs:
                             m = g[col] + shift
                             if m > low:
@@ -524,10 +525,9 @@ class QuotientColoring:
         for pair in sorted(self.geometry):
             geo = self.geometry[pair]
             blocks: dict[str, list[list[int]]] = {"init": [], "aper": [], "per": []}
-            for pt, v in self._window(pair).items():
-                if v:
-                    block = "init" if geo.in_rect(pt, 0) else "aper" if geo.in_rect(pt, geo.j) else "per"
-                    blocks[block].append(list(pt))
+            for pt in self._true_points(pair):
+                block = "init" if geo.in_rect(pt, 0) else "aper" if geo.in_rect(pt, geo.j) else "per"
+                blocks[block].append(list(pt))
             pairs.append({
                 "q": pair[0],
                 "q'": pair[1],
@@ -541,7 +541,7 @@ class QuotientColoring:
         return {"schema": 1, "l0": list(l0), "pairs": pairs}
 
 
-def _lay_out(targets: dict[Node, tuple], t: Node, n2: int, hi: int, d2: int, strict: bool = False):
+def _lay_out(targets: dict[Node, tuple], t: Node, n2: int, hi: int, d2: int):
     """The layout of a read of pair t's column n2 by a range whose highest m
     is hi, through a reply of counter change d2: the read's threshold if its
     top is false, then per segment from the top down, the number of the
@@ -549,10 +549,9 @@ def _lay_out(targets: dict[Node, tuple], t: Node, n2: int, hi: int, d2: int, str
     the reader's m.  `targets` holds, per pair, the number of its column 0,
     its columns and the geometry a read past them needs.
 
-    A wrap that leaves the window, or that has none, raises GeometryError.
-    With `strict`, so does a wrap band landing outside its window column's
-    belt range, where `QuotientColoring.lookup` would raise; the solver
-    reads such a band as it reads the column."""
+    A read raises GeometryError wherever `QuotientColoring.lookup` of a
+    point it reads would: at a point with no wrap into the window, or whose
+    wrap leaves the window or its window column's belt range."""
     first, cols, span, rho, rho2, k, X, Y = targets[t]
     top = hi + d2
     if n2 < len(cols) and top <= cols[n2][1]:  # inside the window column
@@ -572,8 +571,9 @@ def _lay_out(targets: dict[Node, tuple], t: Node, n2: int, hi: int, d2: int, str
         if not 0 <= n1 < len(cols):
             raise GeometryError(f"{t}: wrap of column {n2} left the window at {n1}")
         shift = s * k * rho2
-        if strict and not cols[n1][0] <= bottom - shift <= m2 - shift <= cols[n1][1]:
-            raise GeometryError(f"{t}: wrap of ({n2}, {m2}) left the belt of column {n1}")
+        if not cols[n1][0] <= bottom - shift <= m2 - shift <= cols[n1][1]:
+            pt = (n2, m2 if m2 - shift > cols[n1][1] else bottom)
+            raise GeometryError(f"{t}: wrap of {pt} left the belt of column {n1}")
         segs.append((first + n1, shift - d2, bottom - d2))
         m2 = bottom - 1
     return top + 1 - d2, segs
@@ -673,7 +673,7 @@ class SpoilerAttractor:
         for pair in self.moves:
             for a, _, replies in self.moves[pair]:
                 if not replies:
-                    raise GeometryError(
+                    raise NetError(
                         f"pair {pair}: Duplicator has no {a!r} rules (net not normalized)"
                     )
                 for d2, t in replies:
@@ -819,8 +819,6 @@ def verify_coloring(
     nets: tuple[Ocn, Ocn],
     col: QuotientColoring,
     spoiler_depth_cap: int = 128,
-    *,
-    check_no: bool = True,
 ) -> VerificationReport:
     """Check a coloring's window values against the nets.
 
@@ -839,9 +837,8 @@ def verify_coloring(
             if v and not col.condition_holds(pair, pt):
                 report.yes_violations.append((pair, pt))
     report.periodicity_failures.extend(col.certify_periodicity())
-    if check_no:
-        att = SpoilerAttractor(product)
-        report.no_unconfirmed.extend(att.unconfirmed(col.false_points(), spoiler_depth_cap))
+    att = SpoilerAttractor(product)
+    report.no_unconfirmed.extend(att.unconfirmed(col.false_points(), spoiler_depth_cap))
     return report
 
 
@@ -965,9 +962,9 @@ class StrongSimEngine:
             )
             for i in range(MAX_ROUNDS)
         )
-        self.colorings: dict[tuple[int, int], QuotientColoring] = {}
-        # rounds whose window `max_rect` cut below j0 and that a wrap left
-        self._j0, self._capped = j0, set()
+        # per round (j, k): its coloring, or None once the round is capped
+        self.colorings: dict[tuple[int, int], QuotientColoring | None] = {}
+        self._j0 = j0
         self._attractor = SpoilerAttractor(self.product)
 
     # -- geometry ------------------------------------------------------------
@@ -981,35 +978,28 @@ class StrongSimEngine:
 
     # -- escalation ----------------------------------------------------------
 
-    def coloring(self, j: int, k: int) -> QuotientColoring:
+    def coloring(self, j: int, k: int) -> QuotientColoring | None:
+        """The round's coloring, solved and certified once, or None for a
+        capped round (`_drop_round`)."""
         key = (j, k)
-        col = self.colorings.get(key)
-        if col is None:
-            col = QuotientColoring(self.product, self.geometry(j, k))
-            failures = col.certify_periodicity()
-            col.certified_yes = not failures
-            self.colorings[key] = col
-        return col
-
-    def _cap(self, j: int, k: int) -> bool:
-        """Whether a GeometryError of round (j, k) is a resource cap: a
-        window `max_rect` cut below j0 need not hold every wrap.  A capped
-        round's coloring is dropped and not built again."""
-        if j >= self._j0:
-            return False
-        self._capped.add((j, k))
-        self.colorings.pop((j, k), None)
-        return True
-
-    def _round_coloring(self, j: int, k: int) -> QuotientColoring | None:
-        """The round's coloring, unless the round is capped."""
-        if (j, k) not in self._capped:
+        if key not in self.colorings:
             try:
-                return self.coloring(j, k)
-            except GeometryError:
-                if not self._cap(j, k):
-                    raise
-        return None
+                col = QuotientColoring(self.product, self.geometry(j, k))
+                col.certified_yes = not col.certify_periodicity()
+                self.colorings[key] = col
+            except GeometryError as exc:
+                self._drop_round(j, k, exc)
+        return self.colorings[key]
+
+    def _drop_round(self, j: int, k: int, exc: GeometryError) -> None:
+        """Cap round (j, k), whose build, certification or a `decide` lookup
+        raised `exc`: below j0 = w + 2c + 1, where `max_rect` cut the window,
+        a wrap may leave it, so the round is kept as a None entry of
+        `colorings` and its coloring is not built again.  At j >= j0 every
+        wrap lands in the window, and the error propagates."""
+        if j >= self._j0:
+            raise exc
+        self.colorings[j, k] = None
 
     def spoiler_rank(self, pair: Node, pt: Point, depth: int) -> int | None:
         """Rounds within which Spoiler wins from the point, if at most `depth`."""
@@ -1051,7 +1041,10 @@ class StrongSimEngine:
     # -- queries ---------------------------------------------------------------
 
     def decide(self, left: "Config | tuple[str, int]", right: "Config | tuple[str, int]") -> bool | None:
-        """Exact simulation answer, or None when the resource caps are hit."""
+        """Exact simulation answer, or None when the resource caps are hit.
+        `true` comes from a certified coloring's lookup, `false` from the
+        attractor or from an exact coloring, whose lookup of the point came
+        back false, and None otherwise."""
         lstate, ln = (left.state, left.counter) if hasattr(left, "state") else left
         rstate, rn = (right.state, right.counter) if hasattr(right, "state") else right
         if ln < 0 or rn < 0:
@@ -1070,7 +1063,7 @@ class StrongSimEngine:
             # built yet asks the attractor first: the point's attractor table
             # exists from the earlier round, and a Spoiler win saves the
             # build.  Round 0's coloring is built for any belt point, whoever
-            # wins it: `export_coloring` and `check --json` need it anyway.
+            # wins it: `export` and `check --json` need it anyway.
             spoiler_first = (
                 rnd > 0
                 and attractor_feasible
@@ -1079,31 +1072,32 @@ class StrongSimEngine:
             )
             if spoiler_first and self.spoiler_rank(pair, pt, depth) is not None:
                 return False
-            if (j, k) not in self._capped:
+            col = self.coloring(j, k)
+            if col is not None and col.certified_yes:
                 try:
-                    col = self.coloring(j, k)
-                    if col.certified_yes and col.lookup(pair, pt):
+                    if col.lookup(pair, pt):
                         return True
+                except GeometryError as exc:
+                    self._drop_round(j, k, exc)
+                else:
                     # beyond the window an exact coloring answers without a
                     # search as deep as the counter
                     outside = not col.geometry[pair].in_window(pt)
                     if (outside or not attractor_feasible) and self._ensure_exact(col):
-                        return col.lookup(pair, pt)
-                except GeometryError:
-                    if not self._cap(j, k):
-                        raise
+                        return False
             if attractor_feasible and not spoiler_first and self.spoiler_rank(pair, pt, depth) is not None:
                 return False
-        # every round's coloring is built by now, so this builds nothing
+        # every round's coloring is built by now, so this builds nothing, and
+        # the certified one's lookup of the point came back false
         col = self.certified_coloring()
         if col is not None and self._ensure_exact(col):
-            return col.lookup(pair, pt)
+            return False
         return None
 
     def certified_coloring(self) -> QuotientColoring | None:
         """First coloring of the escalation schedule that certifies."""
         for j, k, _ in self.schedule:
-            col = self._round_coloring(j, k)
+            col = self.coloring(j, k)
             if col is not None and col.certified_yes:
                 return col
         return None
@@ -1113,7 +1107,7 @@ class StrongSimEngine:
         locally, excluded window points confirmed by bounded Spoiler wins,
         periodicity witnessed by equal cross-sections."""
         for j, k, _ in self.schedule:
-            col = self._round_coloring(j, k)
+            col = self.coloring(j, k)
             if col is not None and col.certified_yes and self._ensure_exact(col):
                 return col
         return None

@@ -121,7 +121,7 @@ def test_check_internal_error_exit_70(monkeypatch, exc):
     [
         ("decide", ("render", "--pair", "p,q", "--max", "4", A, ACOPY)),
         ("belts", ("belts", A, ACOPY)),
-        ("export_coloring", ("export", "--out", "OUT", A, ACOPY)),
+        ("certified_coloring", ("export", "--out", "OUT", A, ACOPY)),
     ],
 )
 def test_every_command_maps_internal_errors(monkeypatch, tmp_path, method, args, exc, code):

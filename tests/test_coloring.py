@@ -115,9 +115,15 @@ def test_geometry_error_is_a_cap_only_below_j0(monkeypatch, max_rect, raises):
     if raises:
         with pytest.raises(GeometryError):
             eng.decide(("p", 30), ("q", 31))
-    else:
-        assert eng.decide(("p", 30), ("q", 31)) is None
-        assert eng.colorings == {} and eng.certified_coloring() is None
+        return
+    assert eng.decide(("p", 30), ("q", 31)) is None
+    # every round is capped and kept as None: no coloring is kept, and a
+    # second decide builds none
+    assert eng.colorings and set(eng.colorings.values()) == {None}
+    solves = []
+    monkeypatch.setattr(QuotientColoring, "_solve", lambda self: solves.append(self))
+    assert eng.decide(("p", 30), ("q", 31)) is None
+    assert solves == [] and eng.certified_coloring() is None and eng.exact_coloring() is None
 
 
 def test_attractor_ranks_up_to_the_grid_edge():
@@ -475,6 +481,21 @@ def test_column_test_raises_where_a_lookup_raises():
             checked.certify_periodicity()
         errors.append(str(exc.value))
     assert errors[0] == errors[1]
+
+
+def test_solver_raises_where_a_lookup_raises():
+    # in this hand-built window a read of (s0, d0) passes (3, 0), whose wrap
+    # lands below m = 0: a lookup of it raises, and so does the solve,
+    # rather than read the band as the window column it wraps into
+    eng = _engine(*random_pair(90))
+    shape = {("s0", "d0"): (Slope(2, 1), 3), ("s0", "d1"): (Slope(1, 2), 0)}
+    assert set(shape) == set(eng.product.nodes)
+    geometry = {pair: PairGeometry(pair, s, c, (0, 0), 0, 1) for pair, (s, c) in shape.items()}
+    with pytest.raises(GeometryError, match=r"\('s0', 'd0'\): wrap of \(3, 0\) left the belt"):
+        QuotientColoring(eng.product, geometry)
+    values = {pair: dict.fromkeys(geo.window_points(), True) for pair, geo in geometry.items()}
+    with pytest.raises(GeometryError, match="left the window"):
+        QuotientColoring(eng.product, geometry, values).lookup(("s0", "d0"), (3, 0))
 
 
 def _lookups(col, pair, box):

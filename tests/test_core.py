@@ -17,7 +17,7 @@ from ocnsim.core import (
     parse_net,
     steps,
 )
-from ocnsim.coloring import GeometryError, SpoilerAttractor
+from ocnsim.coloring import SpoilerAttractor
 from ocnsim.geometry import Slope
 from ocnsim.oracle import bounded_round_winner
 from ocnsim.slope_game import SlopeGameSolver
@@ -172,7 +172,7 @@ def test_product_moves_keep_unanswered_rules():
     assert g.moves[("p", "q")] == (("b", 0, ()), ("a", 0, ((1, ("p", "q")),)))
     with pytest.raises(RuntimeError, match="normalized"):
         SlopeGameSolver(g).solve(("p", "q"), Slope(1, 1))
-    with pytest.raises(GeometryError, match="not normalized"):
+    with pytest.raises(NetError, match="not normalized"):
         SpoilerAttractor(g)
 
 

@@ -122,7 +122,7 @@ def test_check_candidate_agrees_with_verifier():
         independent = {
             pt for pair, pt in check_candidate(nets, col, window) if pair == ("p", "q")
         }
-        report = verify_coloring(nets, col, spoiler_depth_cap=8, check_no=False)
+        report = verify_coloring(nets, col, spoiler_depth_cap=8)
         engine_side = {
             pt for pair, pt in report.yes_violations
             if pair == ("p", "q") and pt[0] <= window[0] and pt[1] <= window[1]
