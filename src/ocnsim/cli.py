@@ -77,6 +77,18 @@ def _parse_config(literal: str, net: Ocn, path: str) -> Config:
     return Config(state, value)
 
 
+def _split_pair(item: str, spoiler: Ocn, duplicator: Ocn) -> tuple[str, str] | None:
+    """The state pair `q,q'` names: state names may contain commas, so it
+    splits at the one comma with a Spoiler state left of it and a Duplicator
+    state right of it, and is None when no comma or more than one does."""
+    splits = [
+        (item[:i], item[i + 1 :])
+        for i, ch in enumerate(item)
+        if ch == "," and item[:i] in spoiler.states and item[i + 1 :] in duplicator.states
+    ]
+    return splits[0] if len(splits) == 1 else None
+
+
 def check(mode, tau, as_json, max_depth, max_period, max_rect, dump_dir,
           net_a, net_b, conf_a, conf_b):
     """Decide whether CONF_A of NET_A is simulated by CONF_B of NET_B."""
@@ -203,12 +215,12 @@ def render(pair_opt, size, fmt, out, net_a, net_b):
     """Render the simulation coloring of one state pair as a grid."""
     spoiler = _load_net(net_a)
     duplicator = _load_net(net_b)
-    q, sep, q2 = pair_opt.partition(",")
-    if not sep or q not in spoiler.states or q2 not in duplicator.states:
+    pair = _split_pair(pair_opt, spoiler, duplicator)
+    if pair is None:
         print(f"bad --pair {pair_opt!r}", file=sys.stderr)
         sys.exit(EXIT_PARSE)
     engine = StrongSimEngine(spoiler, duplicator)
-    text = (_render_ascii if fmt == "ascii" else _render_svg)(engine, (q, q2), size)
+    text = (_render_ascii if fmt == "ascii" else _render_svg)(engine, pair, size)
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
@@ -223,11 +235,11 @@ def export(out, pairs_opt, net_a, net_b):
     if pairs_opt:
         keep = set()
         for item in pairs_opt.split(";"):
-            q, sep, q2 = item.partition(",")
-            if not sep or q not in spoiler.states or q2 not in duplicator.states:
+            pair = _split_pair(item, spoiler, duplicator)
+            if pair is None:
                 print(f"bad --pairs item {item!r}", file=sys.stderr)
                 sys.exit(EXIT_PARSE)
-            keep.add((q, q2))
+            keep.add(pair)
     engine = StrongSimEngine(spoiler, duplicator)
     col = engine.certified_coloring()
     if col is None:

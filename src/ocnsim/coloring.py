@@ -31,7 +31,7 @@ from .core import (
     graph_parameters,
     normalize_pair,
 )
-from .geometry import Slope, c_above, c_below, interval_representatives
+from .geometry import Slope, interval_representatives
 from .slope_game import (
     PairScan,
     SlopeGameSolver,
@@ -44,8 +44,8 @@ Point = tuple[int, int]
 
 
 class GeometryError(RuntimeError):
-    """A wrap left its window or its window column's belt range: a resource
-    cap in a round whose window is cut below j0, else a fault (see
+    """A belt point has no slot in its window (`PairGeometry.slot`): a
+    resource cap in a round whose window is cut below j0, else a fault (see
     `StrongSimEngine.coloring`)."""
 
 
@@ -71,39 +71,47 @@ class Belt:
     def vertical(self) -> bool:
         return self.slope == Slope(0, 1)
 
+    def span(self, n: int) -> tuple[float, float]:
+        """The lowest and highest m of the belt in column n >= 0: the points
+        neither `c_below` nor `c_above` the slope.  A vertical belt has no
+        above-zone (highest m inf), and its columns beyond c are below-zone
+        (lowest m inf)."""
+        rho, rho2, c = self.slope.rho, self.slope.rho_prime, self.c
+        if rho == 0:
+            return (0, inf) if n <= c else (inf, inf)
+        lo = 0 if rho2 == 0 or n <= c else max(0, -(-(rho2 * (n - c) - rho * c) // rho))
+        return lo, (rho2 * (n + c)) // rho + c
+
     def zone(self, pt: Point) -> bool | None:
         """True above the belt (simulated), False below it (not simulated),
         None inside it."""
-        if c_above(pt, self.slope, self.c):
-            return True
-        if c_below(pt, self.slope, self.c):
-            return False
-        return None
+        lo, hi = self.span(pt[0])
+        m = pt[1]
+        return True if m > hi else False if m < lo else None
 
 
 class PairGeometry(Belt):
     """Belt geometry of one pair instantiated over a window (l0, j, k), whose
-    corner `cap` is rect_cap(j + k)."""
+    corner `cap` is rect_cap(j + k).  `columns` holds, per column n of
+    belt /\\ rect(j + k), its lowest and highest m (lowest above highest
+    when the column is empty)."""
 
-    __slots__ = ("l0", "j", "k", "cap")
+    __slots__ = ("l0", "j", "k", "cap", "columns")
 
     def __init__(self, pair: Node, slope: Slope, c: int, l0: Point, j: int, k: int) -> None:
         super().__init__(pair, slope, c)
         object.__setattr__(self, "l0", l0)
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "cap", self.rect_cap(j + k))
+        X, Y = cap = self.rect_cap(j + k)
+        object.__setattr__(self, "cap", cap)
+        # a vertical belt's columns beyond c are below-zone
+        width = X + 1 if slope.rho else min(X, c) + 1
+        columns = [(lo, min(Y, hi)) for lo, hi in map(self.span, range(width))]
+        object.__setattr__(self, "columns", columns)
 
     def __reduce__(self):
         return PairGeometry, (self.pair, self.slope, self.c, self.l0, self.j, self.k)
-
-    def resolve(self, pt: Point) -> bool | Point:
-        """The zone value of a point, or else the window point standing for
-        it: the point itself inside rect(j + k), its wrap beyond."""
-        zone = self.zone(pt)
-        if zone is not None:
-            return zone
-        return pt if self.in_window(pt) else self.wrap(pt)
 
     def rect_cap(self, j: int) -> Point:
         return (self.l0[0] + j * self.slope.rho, self.l0[1] + j * self.slope.rho_prime)
@@ -112,65 +120,48 @@ class PairGeometry(Belt):
         cap = self.rect_cap(j)
         return pt[0] <= cap[0] and pt[1] <= cap[1]
 
-    def in_window(self, pt: Point) -> bool:
-        return pt[0] <= self.cap[0] and pt[1] <= self.cap[1]
-
-    def span(self, n: int) -> tuple[float, float]:
-        """The lowest and highest m of the belt in column n, not clipped to
-        the window: a vertical belt has no above-zone (highest m inf), and
-        its columns beyond c are below-zone (lowest m inf)."""
-        rho, rho2, c = self.slope.rho, self.slope.rho_prime, self.c
-        if rho == 0:
-            return (0, inf) if n <= c else (inf, inf)
-        lo = 0 if rho2 == 0 or n <= c else max(0, -(-(rho2 * (n - c) - rho * c) // rho))
-        return lo, (rho2 * (n + c)) // rho + c
-
-    def columns(self) -> list[tuple[int, int]]:
-        """Per column n of belt /\\ rect(j + k), its lowest and highest m
-        (lowest above highest when the column is empty)."""
+    def slot(self, n: int, m: int, low: int) -> tuple[int, int, int]:
+        """The window slot (n1, m1) of belt point (n, m), and the lowest m
+        from `low` up to m whose point of column n shares its band.  The slot
+        is the point lowered by s*k*slope for the least s >= 0 that brings it
+        under the cap; the band is the points that same s brings there.
+        Raises GeometryError, with one message naming (n, m) or the range's
+        lowest point, when (n, m) has no such s or a point of the range has
+        its slot outside the window's columns or its column's belt range."""
         X, Y = self.cap
-        if self.slope.rho == 0:  # vertical belt: columns beyond c are below-zone
-            return [(0, Y)] * (min(X, self.c) + 1)
-        return [(lo, min(Y, hi)) for lo, hi in map(self.span, range(X + 1))]
+        step, step2 = self.k * self.slope.rho, self.k * self.slope.rho_prime
+        s = s2 = 0
+        if n > X:
+            s = -(-(n - X) // step) if step else None
+        if m > Y:
+            s2 = -(-(m - Y) // step2) if step2 else None
+        if s is not None and s2 is not None:
+            if s2 > s:
+                s, low = s2, max(low, Y + (s2 - 1) * step2 + 1)
+            n1, shift, cols = n - s * step, s * step2, self.columns
+            if 0 <= n1 < len(cols):
+                lo, hi = cols[n1]
+                if lo <= m - shift <= hi:
+                    if lo <= low - shift:
+                        return n1, m - shift, low
+                    m = low
+        raise GeometryError(f"{self.pair}: belt point {(n, m)} has no slot in the window")
 
-    def fringe(self, cols: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    def fringe(self) -> list[tuple[int, int]]:
         """Per window column n, the lowest and highest m of its points whose
-        k*slope translate leaves the window, the wrap targets of all points
-        beyond it: the whole column when n + k*rho > X, else its points
-        above Y - k*rho'.  `cols` are the window's `columns()`."""
+        k*slope translate leaves the window, the slots of all points beyond
+        it: the whole column when n + k*rho > X, else its points above
+        Y - k*rho'."""
         X, Y = self.cap
         step, step2 = self.k * self.slope.rho, self.k * self.slope.rho_prime
         return [
             (lo if n + step > X else max(lo, Y - step2 + 1), hi)
-            for n, (lo, hi) in enumerate(cols)
+            for n, (lo, hi) in enumerate(self.columns)
         ]
 
     def window_points(self) -> list[Point]:
         """All points of belt /\\ rect(j + k), column by column."""
-        return [(n, m) for n, (lo, hi) in enumerate(self.columns()) for m in range(lo, hi + 1)]
-
-    def wrap(self, pt: Point) -> Point:
-        """Map an in-belt point beyond rect(j + k) to its window representative
-        by subtracting multiples of k*slope."""
-        rho, rho2 = self.slope.rho, self.slope.rho_prime
-        X, Y = self.cap
-        n, m = pt
-        shifts = []
-        if n > X:
-            if rho == 0:
-                raise GeometryError(f"{self.pair}: point {pt} unreachable by vertical wrap")
-            shifts.append(-(-(n - X) // (self.k * rho)))
-        if m > Y:
-            if rho2 == 0:
-                raise GeometryError(f"{self.pair}: point {pt} unreachable by horizontal wrap")
-            shifts.append(-(-(m - Y) // (self.k * rho2)))
-        if not shifts:
-            return pt
-        t = max(shifts)
-        out = (n - t * self.k * rho, m - t * self.k * rho2)
-        if out[0] < 0 or out[1] < 0 or not self.in_window(out):
-            raise GeometryError(f"{self.pair}: wrap of {pt} left the window at {out}")
-        return out
+        return [(n, m) for n, (lo, hi) in enumerate(self.columns) for m in range(lo, hi + 1)]
 
 
 class VerificationReport:
@@ -197,12 +188,13 @@ class VerificationReport:
 
 class QuotientColoring:
     """A periodic coloring: per pair, the window values of the quotient-game
-    greatest fixpoint, looked up through the zones and the k*slope wrap.
+    greatest fixpoint, looked up through the zones and the window slot.
 
     A solved coloring is its column thresholds: per pair, the number of its
-    first window column and its columns (`_targets`), and per column one
-    threshold (`_g`), the least true m.  It keeps nothing per point: its
-    `values` are derived from the thresholds when read, and not kept.
+    first window column (`_first`), and per column of its geometry's
+    `columns` one threshold (`_g`), the least true m.  It keeps nothing per
+    point: its `values` are derived from the thresholds when read, and not
+    kept.
     Values may be given instead, as when checking an exported coloring:
     such a coloring keeps its dicts, has no thresholds, and is certified
     point by point.
@@ -216,9 +208,8 @@ class QuotientColoring:
     ):
         self.product = product
         self.geometry = geometry
-        # per pair, the number of its column 0, its columns and the geometry
-        # a read past them needs; per column, its threshold
-        self._targets: dict[Node, tuple] | None = None
+        # per pair, the number of its column 0; per column, its threshold
+        self._first: dict[Node, int] | None = None
         self._g: list[int] | None = None
         self._values = values
         if values is None:
@@ -238,13 +229,13 @@ class QuotientColoring:
                 for n, (lo, hi, g) in enumerate(self._thresholds(pair))
                 for m in range(lo, hi + 1)
             }
-            for pair in self._targets
+            for pair in self._first
         }
 
     def _thresholds(self, pair: Node) -> list[tuple[int, int, int]]:
         """Per window column of a solved coloring's pair: its lowest m, its
         highest m and its threshold."""
-        first, cols = self._targets[pair][:2]
+        first, cols = self._first[pair], self.geometry[pair].columns
         return [(lo, hi, g) for (lo, hi), g in zip(cols, self._g[first : first + len(cols)])]
 
     def _true_points(self, pair: Node):
@@ -260,22 +251,22 @@ class QuotientColoring:
     # -- lookup ------------------------------------------------------------
 
     def lookup(self, pair: Node, pt: Point) -> bool:
-        """The point's value: its zone's, else its window slot's.  A solved
-        coloring compares the slot's m with its column's threshold.  A slot
-        outside the window's columns raises GeometryError."""
-        slot = self.geometry[pair].resolve(pt)
-        if isinstance(slot, bool):
-            return slot
+        """The point's value: its zone's, else its window slot's."""
+        zone = self.geometry[pair].zone(pt)
+        return self.belt_value(pair, pt) if zone is None else zone
+
+    def belt_value(self, pair: Node, pt: Point) -> bool:
+        """The value of a belt point: its window slot's (`PairGeometry.slot`).
+        A solved coloring compares the slot's m with its column's
+        threshold."""
+        n, m = pt
+        n, m, _ = self.geometry[pair].slot(n, m, m)
         if self._g is None:
             try:
-                return self._values[pair][slot]
+                return self._values[pair][n, m]
             except KeyError as exc:
-                raise GeometryError(f"{pair}: {slot} missing from window") from exc
-        first, cols = self._targets[pair][:2]
-        n, m = slot
-        if not (0 <= n < len(cols) and cols[n][0] <= m <= cols[n][1]):
-            raise GeometryError(f"{pair}: {slot} missing from window")
-        return m >= self._g[first + n]
+                raise GeometryError(f"{pair}: slot {(n, m)} missing from the given values") from exc
+        return m >= self._g[self._first[pair] + n]
 
     def _alternatives(self, pair: Node, pt: Point):
         """Enabled one-round alternatives: per enabled Spoiler rule, the list
@@ -304,7 +295,7 @@ class QuotientColoring:
         the above-zone (true), the wrap bands beyond the window cap, the
         window column, and the below-zone (false, as is m2 < 0).  The
         window column is true from g[t][n2] up, and band s, whose points
-        `PairGeometry.wrap` shifts by s*k*slope, from
+        `PairGeometry.slot` lowers by s*k*slope, from
         g[t][n2 - s*k*rho] + s*k*rho' up.  Which segments a read passes
         depends on the geometry alone, so each read is laid out once, by
         `_lay_out`, before the worklist: its threshold if its top is false,
@@ -312,11 +303,12 @@ class QuotientColoring:
         shift and the segment's lowest m, all less d2.  A window column's
         segment is given its lowest m less one, below any threshold, since
         the below-zone follows it.  A re-evaluation scans the segments to
-        the first one with a false point.  A layout raises GeometryError
-        wherever `lookup` of a point the read passes would, so the solver
-        reads the window as `lookup` does.  Each window column records the
-        columns whose layout reads it, which are queued again whenever its
-        threshold rises.
+        the first one with a false point.  A layout takes each segment's
+        slot from `PairGeometry.slot`, so it raises GeometryError wherever
+        `lookup` of a point the read passes would, with the same message,
+        and the solver reads the window as `lookup` does.  Each window
+        column records the columns whose layout reads it, which are queued
+        again whenever its threshold rises.
         Reads only rise with the thresholds, so a rule's min stops at its
         first reply that cannot raise the column: if that reply rises
         later, its column is requeued.
@@ -339,24 +331,20 @@ class QuotientColoring:
         It is that fixpoint whenever every read range is upward closed,
         which the `_kleene` reference of the tests checks.  The solver's
         state is per column, and so is its result: the coloring keeps each
-        pair's first column and columns (`_targets`) and the thresholds
-        (`_g`), and nothing per point."""
+        pair's first column (`_first`) and the thresholds (`_g`), and
+        nothing per point."""
         geometry, moves = self.geometry, self.product.moves
-        # per pair: the number of its column 0, its columns, and what a read
-        # past them needs of its geometry
-        targets: dict[Node, tuple] = {}
+        first: dict[Node, int] = {}  # per pair: the number of its column 0
         # per column: its pair, n, lowest m and highest m
         places: list[tuple[Node, int, int, int]] = []
         for pair, geo in geometry.items():
-            cols = geo.columns()
-            slope = geo.slope
-            targets[pair] = (len(places), cols, geo.span, slope.rho, slope.rho_prime, geo.k, *geo.cap)
-            places.extend((pair, n, lo, hi) for n, (lo, hi) in enumerate(cols))
+            first[pair] = len(places)
+            places.extend((pair, n, lo, hi) for n, (lo, hi) in enumerate(geo.columns))
         g = [lo for _, _, lo, _ in places]  # per column: its threshold
         readers: list[set[int]] = [set() for _ in g]
 
         def lay_out(reader: int, t: Node, n2: int, hi: int, d2: int) -> tuple[int, list]:
-            read = _lay_out(targets, t, n2, hi, d2)
+            read = _lay_out(geometry[t], first[t], n2, hi, d2)
             for col, _, _ in read[1]:
                 readers[col].add(reader)
             return read
@@ -401,7 +389,7 @@ class QuotientColoring:
                     if not queued[r]:
                         queued[r] = 1
                         queue.append(r)
-        self._targets, self._g = targets, g
+        self._first, self._g = first, g
 
     # -- verification --------------------------------------------------------
 
@@ -417,8 +405,8 @@ class QuotientColoring:
         """Verify that the periodic extension is self-supporting.
 
         The one-step condition is checked at the first M translates of every
-        true point of the fringe, the wrap targets of all points beyond the
-        window (`PairGeometry.fringe`).  M is computed so that every
+        true point of the fringe, the slots of all points beyond the window
+        (`PairGeometry.fringe`).  M is computed so that every
         geometric test any lookup can make (belt and zone boundaries, window
         caps of successor pairs) has constant outcome beyond M.  Past that
         horizon the checked conditions repeat verbatim, so all translates
@@ -444,11 +432,11 @@ class QuotientColoring:
         g = self._g
         for pair, geo in self.geometry.items():
             if g is None:
-                vals, cols = self._values[pair], geo.columns()
+                vals = self._values[pair]
             else:
-                first, cols = self._targets[pair][:2]
+                first = self._first[pair]
             fringe: list[tuple[int, range | list[int]]] = []  # per column, its true fringe
-            for n, (lo, hi) in enumerate(geo.fringe(cols)):
+            for n, (lo, hi) in enumerate(geo.fringe()):
                 if g is None:
                     ms = [m for m in range(lo, hi + 1) if vals[n, m]]
                 else:
@@ -490,7 +478,7 @@ class QuotientColoring:
         """Whether the column test passes the true range ms of window column
         n at each of its first `horizon` translates by `step`.  A read's
         threshold is walked from the thresholds as the solver walks it."""
-        targets, g = self._targets, self._g
+        geometry, first, g = self.geometry, self._first, self._g
         try:
             for s in range(1, horizon + 1):
                 n1, bottom, top = n + s * step[0], ms[0] + s * step[1], ms[-1] + s * step[1]
@@ -498,7 +486,7 @@ class QuotientColoring:
                     if n1 + d < 0:
                         continue
                     for d2, t in replies:
-                        thr, segs = _lay_out(targets, t, n1 + d, top, d2)
+                        thr, segs = _lay_out(geometry[t], first[t], n1 + d, top, d2)
                         for col, shift, low in segs:
                             m = g[col] + shift
                             if m > low:
@@ -541,40 +529,26 @@ class QuotientColoring:
         return {"schema": 1, "l0": list(l0), "pairs": pairs}
 
 
-def _lay_out(targets: dict[Node, tuple], t: Node, n2: int, hi: int, d2: int):
-    """The layout of a read of pair t's column n2 by a range whose highest m
+def _lay_out(geo: PairGeometry, first: int, n2: int, hi: int, d2: int):
+    """The layout of a read of column n2 of a pair whose geometry is `geo`
+    and whose column 0 is window column `first`, by a range whose highest m
     is hi, through a reply of counter change d2: the read's threshold if its
     top is false, then per segment from the top down, the number of the
     window column it reads, the m shift and the segment's lowest m, all in
-    the reader's m.  `targets` holds, per pair, the number of its column 0,
-    its columns and the geometry a read past them needs.
-
-    A read raises GeometryError wherever `QuotientColoring.lookup` of a
-    point it reads would: at a point with no wrap into the window, or whose
-    wrap leaves the window or its window column's belt range."""
-    first, cols, span, rho, rho2, k, X, Y = targets[t]
+    the reader's m.  Each segment is one band of `PairGeometry.slot`, which
+    raises GeometryError where `QuotientColoring.lookup` of a point the read
+    passes would."""
+    cols = geo.columns
     top = hi + d2
     if n2 < len(cols) and top <= cols[n2][1]:  # inside the window column
         return hi + 1, [(first + n2, -d2, cols[n2][0] - 1 - d2)]
-    low, high = span(n2)
+    low, high = geo.span(n2)
     top = min(top, high)  # above it, the above-zone
     segs = []
-    # a point beyond the cap wraps by the larger of its two bands
-    s_n = 0 if n2 <= X else -(-(n2 - X) // (k * rho)) if rho else None
     m2 = top
     while m2 >= low:
-        s_m = 0 if m2 <= Y else -(-(m2 - Y) // (k * rho2)) if rho2 else None
-        if s_n is None or s_m is None:
-            raise GeometryError(f"{t}: ({n2}, {m2}) has no wrap into the window")
-        s, bottom = (s_m, Y + (s_m - 1) * k * rho2 + 1) if s_m > s_n else (s_n, low)
-        n1 = n2 - s * k * rho
-        if not 0 <= n1 < len(cols):
-            raise GeometryError(f"{t}: wrap of column {n2} left the window at {n1}")
-        shift = s * k * rho2
-        if not cols[n1][0] <= bottom - shift <= m2 - shift <= cols[n1][1]:
-            pt = (n2, m2 if m2 - shift > cols[n1][1] else bottom)
-            raise GeometryError(f"{t}: wrap of {pt} left the belt of column {n1}")
-        segs.append((first + n1, shift - d2, bottom - d2))
+        n1, m1, bottom = geo.slot(n2, m2, low)
+        segs.append((first + n1, m2 - m1 - d2, bottom - d2))
         m2 = bottom - 1
     return top + 1 - d2, segs
 
@@ -994,9 +968,9 @@ class StrongSimEngine:
     def _drop_round(self, j: int, k: int, exc: GeometryError) -> None:
         """Cap round (j, k), whose build, certification or a `decide` lookup
         raised `exc`: below j0 = w + 2c + 1, where `max_rect` cut the window,
-        a wrap may leave it, so the round is kept as a None entry of
-        `colorings` and its coloring is not built again.  At j >= j0 every
-        wrap lands in the window, and the error propagates."""
+        a belt point may have no slot in it, so the round is kept as a None
+        entry of `colorings` and its coloring is not built again.  At
+        j >= j0 every belt point has a slot, and the error propagates."""
         if j >= self._j0:
             raise exc
         self.colorings[j, k] = None
@@ -1045,45 +1019,44 @@ class StrongSimEngine:
         `true` comes from a certified coloring's lookup, `false` from the
         attractor or from an exact coloring, whose lookup of the point came
         back false, and None otherwise."""
-        lstate, ln = (left.state, left.counter) if hasattr(left, "state") else left
-        rstate, rn = (right.state, right.counter) if hasattr(right, "state") else right
-        if ln < 0 or rn < 0:
-            raise NetError(f"counters must be non-negative, got {ln} and {rn}")
+        lstate, ln = (left.state, left.counter) if isinstance(left, Config) else left
+        rstate, rn = (right.state, right.counter) if isinstance(right, Config) else right
+        if not (isinstance(ln, int) and isinstance(rn, int) and ln >= 0 and rn >= 0):
+            raise NetError(f"counters must be non-negative integers, got {ln!r} and {rn!r}")
         pair: Node = (lstate, rstate)
         if pair not in self.scans:
             raise NetError(f"unknown state pair {pair}")
         pt: Point = (ln, rn)
-        zone = self._belts[pair].zone(pt)
+        belt = self._belts[pair]
+        zone = belt.zone(pt)
         if zone is not None:
             return zone
         attractor_feasible = max(pt) <= 4 * self.limits.max_rect
-        belt, l0 = self._belts[pair], (self.w, self.w)
+        rho, rho2 = belt.slope.rho, belt.slope.rho_prime
         for rnd, (j, k, depth) in enumerate(self.schedule):
+            # under the round's window cap l0 + (j + k) * slope, l0 = (w, w)
+            inside = ln <= self.w + (j + k) * rho and rn <= self.w + (j + k) * rho2
             # past round 0, a point inside a window whose coloring is not
             # built yet asks the attractor first: the point's attractor table
             # exists from the earlier round, and a Spoiler win saves the
             # build.  Round 0's coloring is built for any belt point, whoever
             # wins it: `export` and `check --json` need it anyway.
             spoiler_first = (
-                rnd > 0
-                and attractor_feasible
-                and (j, k) not in self.colorings
-                and PairGeometry(pair, belt.slope, belt.c, l0, j, k).in_window(pt)
+                rnd > 0 and attractor_feasible and inside and (j, k) not in self.colorings
             )
             if spoiler_first and self.spoiler_rank(pair, pt, depth) is not None:
                 return False
             col = self.coloring(j, k)
             if col is not None and col.certified_yes:
                 try:
-                    if col.lookup(pair, pt):
+                    if col.belt_value(pair, pt):
                         return True
                 except GeometryError as exc:
                     self._drop_round(j, k, exc)
                 else:
                     # beyond the window an exact coloring answers without a
                     # search as deep as the counter
-                    outside = not col.geometry[pair].in_window(pt)
-                    if (outside or not attractor_feasible) and self._ensure_exact(col):
+                    if (not inside or not attractor_feasible) and self._ensure_exact(col):
                         return False
             if attractor_feasible and not spoiler_first and self.spoiler_rank(pair, pt, depth) is not None:
                 return False
@@ -1123,5 +1096,5 @@ class StrongSimEngine:
             return None
         out = copy.copy(col)
         out._values = col.values
-        out._targets = out._g = None
+        out._first = out._g = None
         return out

@@ -91,8 +91,8 @@ class Config:
     __setattr__ = _read_only
 
     def __init__(self, state: str, counter: int) -> None:
-        if counter < 0:
-            raise NetError(f"counter must be non-negative, got {counter}")
+        if not isinstance(counter, int) or counter < 0:
+            raise NetError(f"counter must be a non-negative integer, got {counter!r}")
         object.__setattr__(self, "state", state)
         object.__setattr__(self, "counter", counter)
 

@@ -417,6 +417,27 @@ def test_bad_pair_option():
     assert res.exit_code == 64
 
 
+@pytest.mark.parametrize("dup_states,code", [("q", 0), ("q y,q", 64)])
+def test_pair_options_split_at_the_comma_between_two_states(tmp_path, dup_states, code):
+    # state names may contain commas: `x,y,q` names the pair (x,y, q) while
+    # q is the only Duplicator state it can end in, and is ambiguous once
+    # y,q is a Duplicator state too, since (x, y,q) is then a pair as well
+    sp, dup = tmp_path / "sp.ocn", tmp_path / "dup.ocn"
+    sp.write_text("net S\nstates x,y x\nactions a\nx,y a 0 x,y\nx a 0 x\n", encoding="utf-8")
+    loops = "".join(f"{q} a 0 {q}\n" for q in dup_states.split())
+    dup.write_text(f"net D\nstates {dup_states}\nactions a\n{loops}", encoding="utf-8")
+    res = run("render", "--pair", "x,y,q", "--max", "2", str(sp), str(dup))
+    assert res.exit_code == code, res.stderr
+    out = tmp_path / "out.json"
+    res = run("export", "--out", str(out), "--pairs", "x,y,q", str(sp), str(dup))
+    assert res.exit_code == code, res.stderr
+    if code == 0:
+        obj = json.loads(out.read_text(encoding="utf-8"))
+        assert [(p["q"], p["q'"]) for p in obj["pairs"]] == [("x,y", "q")]
+    else:
+        assert "bad --pairs item 'x,y,q'" in res.stderr
+
+
 @pytest.mark.parametrize("pairs", ["nope,zz", "p,zz", "p,q;nope,q"])
 def test_export_rejects_unknown_pairs(tmp_path, pairs):
     out = tmp_path / "out.json"

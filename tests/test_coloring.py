@@ -109,9 +109,10 @@ def test_geometry_error_is_a_cap_only_below_j0(monkeypatch, max_rect, raises):
     eng = _engine(NET_A, NET_ACOPY, limits=EngineLimits(max_rect=max_rect))
 
     def broken(self, pair, pt):
-        raise GeometryError("wrap left the window")
+        raise GeometryError("belt point has no slot in the window")
 
-    monkeypatch.setattr(QuotientColoring, "lookup", broken)
+    # `decide` reads a belt point's value through `belt_value`
+    monkeypatch.setattr(QuotientColoring, "belt_value", broken)
     if raises:
         with pytest.raises(GeometryError):
             eng.decide(("p", 30), ("q", 31))
@@ -386,12 +387,10 @@ def test_fringe_is_every_point_whose_translate_leaves_the_window():
         values = col.values
         for pair, geo in col.geometry.items():
             step = (geo.k * geo.slope.rho, geo.k * geo.slope.rho_prime)
-            scan = [
-                pt for pt in values[pair]
-                if not geo.in_window((pt[0] + step[0], pt[1] + step[1]))
-            ]
-            ranges = geo.fringe(geo.columns())
-            assert len(ranges) == len(geo.columns()), (case, pair)
+            X, Y = geo.cap
+            scan = [pt for pt in values[pair] if pt[0] + step[0] > X or pt[1] + step[1] > Y]
+            ranges = geo.fringe()
+            assert len(ranges) == len(geo.columns), (case, pair)
             fringe = [(n, m) for n, (lo, hi) in enumerate(ranges) for m in range(lo, hi + 1)]
             assert fringe == scan, (case, pair)
             kinds.add(_belt_kind(geo.slope))
@@ -433,9 +432,9 @@ def test_failed_column_test_falls_back_to_the_point_test(monkeypatch):
     assert col.certify_periodicity() == []
     pair = ("s0", "d0")
     geo = col.geometry[pair]
-    n, (lo, hi) = len(geo.columns()) - 1, geo.columns()[-1]
-    assert geo.fringe(geo.columns())[n] == (lo, hi)
-    first = col._targets[pair][0]
+    n, (lo, hi) = len(geo.columns) - 1, geo.columns[-1]
+    assert geo.fringe()[n] == (lo, hi)
+    first = col._first[pair]
     assert lo < col._g[first + n] <= hi
     raised = dict.fromkeys([(n, m) for m in range(lo, col._g[first + n])], True)
     col._g[first + n] = lo
@@ -477,25 +476,28 @@ def test_column_test_raises_where_a_lookup_raises():
     col = QuotientColoring(product, geometry)
     errors = []
     for checked in (col, QuotientColoring(product, geometry, col.values)):
-        with pytest.raises(GeometryError, match="left the window") as exc:
+        with pytest.raises(GeometryError, match="has no slot in the window") as exc:
             checked.certify_periodicity()
         errors.append(str(exc.value))
     assert errors[0] == errors[1]
 
 
 def test_solver_raises_where_a_lookup_raises():
-    # in this hand-built window a read of (s0, d0) passes (3, 0), whose wrap
-    # lands below m = 0: a lookup of it raises, and so does the solve,
-    # rather than read the band as the window column it wraps into
+    # in this hand-built window a read of (s0, d0) passes (3, 0), whose slot
+    # lies below m = 0: a lookup of it raises, and so does the solve, with
+    # the same message, rather than read the band as the window column its
+    # slot lies in
     eng = _engine(*random_pair(90))
     shape = {("s0", "d0"): (Slope(2, 1), 3), ("s0", "d1"): (Slope(1, 2), 0)}
     assert set(shape) == set(eng.product.nodes)
     geometry = {pair: PairGeometry(pair, s, c, (0, 0), 0, 1) for pair, (s, c) in shape.items()}
-    with pytest.raises(GeometryError, match=r"\('s0', 'd0'\): wrap of \(3, 0\) left the belt"):
+    message = r"\('s0', 'd0'\): belt point \(3, 0\) has no slot in the window"
+    with pytest.raises(GeometryError, match=message) as solved:
         QuotientColoring(eng.product, geometry)
     values = {pair: dict.fromkeys(geo.window_points(), True) for pair, geo in geometry.items()}
-    with pytest.raises(GeometryError, match="left the window"):
+    with pytest.raises(GeometryError, match=message) as looked_up:
         QuotientColoring(eng.product, geometry, values).lookup(("s0", "d0"), (3, 0))
+    assert str(solved.value) == str(looked_up.value)
 
 
 def _lookups(col, pair, box):
@@ -514,14 +516,14 @@ def test_lookup_from_thresholds_matches_the_window_values():
     # a solved coloring looks a slot up by its column's threshold; the
     # coloring given its values reads their dicts.  Every point of a box
     # two periods past the cap gets the same value or the same error from
-    # both: a wrap that leaves the window, or a slot outside the window's
-    # columns (at a negative coordinate; a wrap lands in the belt).
+    # both, where a belt point has no slot in the window: beyond the hand
+    # window's cap, or at n = -1.
     windows = [_hand_window()]
     for seed in range(20):
         eng = _engine(*random_pair(seed))
         j, k, _ = eng.schedule[0]
         windows.append((eng.product, eng.geometry(j, k)))
-    errors = {"left the window": 0, "missing from window": 0}
+    errors = {"at n = -1": 0, "past the cap": 0}
     for product, geometry in windows:
         col = QuotientColoring(product, geometry)
         given = QuotientColoring(product, geometry, col.values)
@@ -530,9 +532,17 @@ def test_lookup_from_thresholds_matches_the_window_values():
             box = (X + 2 * geo.k * geo.slope.rho, Y + 2 * geo.k * geo.slope.rho_prime)
             solved = _lookups(col, pair, box)
             assert solved == _lookups(given, pair, box), pair
-            for error in errors:
-                errors[error] += sum(isinstance(x, str) and error in x for x in solved)
+            for x in solved:
+                if isinstance(x, str):
+                    assert "has no slot in the window" in x, x
+                    errors["at n = -1" if "point (-1," in x else "past the cap"] += 1
     assert all(errors.values()), errors
+    # given values come from callers too (`verify_coloring`): a slot their
+    # dicts lack is a GeometryError, not a KeyError
+    pair, pt = next((p, pt) for p, vals in given.values.items() for pt in vals)
+    del given.values[pair][pt]
+    with pytest.raises(GeometryError, match="missing from the given values"):
+        given.lookup(pair, pt)
 
 
 def test_quotient_folds_replies_into_their_own_column():
@@ -546,7 +556,7 @@ def test_quotient_folds_replies_into_their_own_column():
 
     def lows(col):
         """Per column of (p, q), its least true m, None when all false."""
-        width, vals = len(col.geometry[pq].columns()), col.values[pq]
+        width, vals = len(col.geometry[pq].columns), col.values[pq]
         return [
             min((m for (n2, m), v in vals.items() if n2 == n and v), default=None)
             for n in range(width)
@@ -554,7 +564,7 @@ def test_quotient_folds_replies_into_their_own_column():
 
     col = _assert_greatest_fixpoint(eng, 0, "round 0")
     Y = col.geometry[pq].cap[1]
-    assert any(lo <= hi == Y for lo, hi in col.geometry[pq].columns())
+    assert any(lo <= hi == Y for lo, hi in col.geometry[pq].columns)
     assert lows(col)[:12] == list(range(12))
     # a window the engine never builds: vertical belts of width 6 capped at
     # Y = 4 with k = 3, so every column is clipped and c's +1 reply at its
@@ -564,7 +574,7 @@ def test_quotient_folds_replies_into_their_own_column():
         pair: PairGeometry(pair, Slope(0, 1), 6, (6, 1), 0, 3) for pair in eng.product.nodes
     }
     col = _assert_solved_window(QuotientColoring(eng.product, geometry), "window")
-    assert all(lo <= hi == 4 for lo, hi in geometry[pq].columns())
+    assert all(lo <= hi == 4 for lo, hi in geometry[pq].columns)
     assert lows(col) == [0, 1, 2, None, None, None, None]
 
 
@@ -698,9 +708,116 @@ def test_window_points_match_zone_predicates():
                 assert (lo <= m <= hi) == in_belt, (geo.slope, geo.c, n, m)
 
 
+def _slot_by_search(geo, pt):
+    """The point lowered by k*slope a step at a time until it is under the
+    cap, and the number of steps; None when a step cannot bring it there."""
+    X, Y = geo.cap
+    step, step2 = geo.k * geo.slope.rho, geo.k * geo.slope.rho_prime
+    (n, m), s = pt, 0
+    while n > X or m > Y:
+        if (n > X and not step) or (m > Y and not step2):
+            return None
+        n, m, s = n - step, m - step2, s + 1
+    return (n, m), s
+
+
+def _slot_cases():
+    """(engine-shaped, geometry): random geometries shaped as the engine
+    builds them, with l0 = (w, w), w >= c + 2 and j >= w + 2c + 1, and
+    random cut ones, their slopes cycling through vertical, horizontal,
+    diagonal, shallow and steep; then hand-built windows, among them the
+    tests' above and vertical and horizontal belts wider than the cap."""
+    rng = random.Random(11)
+    slopes = [(0, 1), (1, 0), (1, 1), (2, 1), (1, 2), (3, 2), (0, 2), (3, 0)]
+    for i in range(32):
+        x, y = slopes[i % len(slopes)]
+        c, k = rng.randint(0, 4), rng.randint(1, 3)
+        if i % 2:
+            w = c + 2 + rng.randint(0, 3)
+            l0, j = (w, w), w + 2 * c + 1 + rng.randint(0, 3)
+        else:
+            l0, j = (rng.randint(0, 6), rng.randint(0, 6)), rng.randint(0, 3)
+        yield i % 2 == 1, PairGeometry(("a", "b"), Slope(x, y), c, l0, j, k)
+    for geo in _hand_window()[1].values():
+        yield False, geo
+    yield False, PairGeometry(("p", "q"), Slope(0, 1), 6, (6, 1), 0, 3)
+    yield False, PairGeometry(("p", "q"), Slope(0, 1), 6, (2, 1), 0, 1)
+    yield False, PairGeometry(("p", "q"), Slope(1, 0), 5, (2, 2), 0, 2)
+
+
+def _expected_slot(geo, window, n, m, low):
+    """What `slot(n, m, low)` returns, by search, or the message it raises:
+    the band is the points of column n from `low` up to m that take as many
+    steps as (n, m), and it raises naming (n, m) when (n, m) has no slot in
+    the window, else naming the band's lowest point when that one has none."""
+    found = _slot_by_search(geo, (n, m))
+    message = f"{geo.pair}: belt point {{}} has no slot in the window"
+    if found is None or found[0] not in window:
+        return message.format((n, m))
+    (n1, m1), s = found
+    bottom = m
+    while bottom > low and _slot_by_search(geo, (n, bottom - 1))[1] == s:
+        bottom -= 1
+    if (n1, bottom - (m - m1)) not in window:
+        return message.format((n, bottom))
+    return n1, m1, bottom
+
+
+def _slot_or_message(geo, n, m, low):
+    try:
+        return geo.slot(n, m, low)
+    except GeometryError as exc:
+        return str(exc)
+
+
+def test_slot_is_the_translate_under_the_cap():
+    # in a box two periods past the cap, every zone is c_above/c_below's
+    # and every belt point's slot is the search's, alone (low = m, as a
+    # lookup asks) and with its band down to the column's lowest belt m (as
+    # the solver asks); it raises where the slot lies outside the window,
+    # the belt points under the cap, and an engine-shaped window holds
+    # every slot.  A point p beyond the cap and its translate
+    # q = p + t*k*slope near 10**30 get the same slot: the search from q
+    # passes p.
+    kinds, raised = set(), 0
+    for engine_shaped, geo in _slot_cases():
+        kinds.add(_belt_kind(geo.slope))
+        X, Y = geo.cap
+        window = {
+            (n, m) for n in range(X + 1) for m in range(Y + 1)
+            if not c_above((n, m), geo.slope, geo.c) and not c_below((n, m), geo.slope, geo.c)
+        }
+        step, step2 = geo.k * geo.slope.rho, geo.k * geo.slope.rho_prime
+        t = 10**30 // max(step, step2)
+        for n in range(X + 2 * max(step, step2) + 1):
+            lo = geo.span(n)[0]
+            for m in range(Y + 2 * max(step, step2) + 1):
+                pts = [(n, m)]
+                if n > X or m > Y:
+                    pts.append((n + t * step, m + t * step2))
+                for pt in pts:
+                    above, below = c_above(pt, geo.slope, geo.c), c_below(pt, geo.slope, geo.c)
+                    assert geo.zone(pt) == (True if above else False if below else None), (geo, pt)
+                if geo.zone((n, m)) is not None:
+                    continue
+                alone = _expected_slot(geo, window, n, m, m)
+                assert _slot_or_message(geo, n, m, m) == alone, (geo.slope, geo.cap, n, m)
+                band = _expected_slot(geo, window, n, m, lo)
+                assert _slot_or_message(geo, n, m, lo) == band, (geo.slope, geo.cap, n, m)
+                raised += isinstance(alone, str)
+                assert not (engine_shaped and isinstance(band, str)), (geo.slope, geo.cap, n, m)
+                if len(pts) == 2 and geo.zone(pts[1]) is None:
+                    far = _slot_or_message(geo, *pts[1], pts[1][1])
+                    assert far == (alone[:2] + (pts[1][1],) if isinstance(alone, tuple) else
+                                   alone.replace(str((n, m)), str(pts[1]))), (geo.slope, pts[1])
+    assert kinds >= {"vertical", "horizontal", "steep", "shallow", "diagonal"}
+    assert raised
+
+
 def test_resolve_matches_zones_and_window():
     # geometries shaped as the engine builds them: l0 = (w, w) with
-    # w >= c + 2 and j >= w + 2c + 1, so every wrap lands in the window
+    # w >= c + 2 and j >= w + 2c + 1, so every belt point's slot lies in
+    # the window and a lookup of it is the zone's value or the slot's
     rng = random.Random(11)
     for _ in range(40):
         while True:
@@ -712,28 +829,26 @@ def test_resolve_matches_zones_and_window():
         j = w + 2 * c + 1 + rng.randint(0, 3)
         geo = PairGeometry(("a", "b"), Slope(x, y), c, (w, w), j, rng.randint(1, 3))
         window = set(geo.window_points())
-        X, Y = geo.rect_cap(geo.j + geo.k)
+        X, Y = geo.cap
         reach = 2 * geo.k * max(x, y)
         for n in range(X + reach + 1):
             for m in range(Y + reach + 1):
-                res = geo.resolve((n, m))
+                zone = geo.zone((n, m))
                 if c_above((n, m), geo.slope, c):
-                    assert res is True
+                    assert zone is True
                 elif c_below((n, m), geo.slope, c):
-                    assert res is False
+                    assert zone is False
                 else:
-                    assert res in window
+                    assert zone is None
+                    assert geo.slot(n, m, m)[:2] in window
 
 
 def test_quotient_wrap_geometry_error():
-    eng = _engine(NET_A, NET_ACOPY)
-    col = eng.certified_coloring()
-    geo = col.geometry[("p", "q")]
-    with pytest.raises(GeometryError):
-        # vertical wrap cannot reduce a horizontal overflow of a diagonal
-        # belt's window: force an out-of-belt coordinate
-        bad = PairGeometry(("p", "q"), Slope(0, 1), 1, (4, 4), 1, 1)
-        bad.wrap((50, 2))
+    # a vertical belt's k*slope step cannot bring a point right of the
+    # window back under its cap: force an out-of-belt coordinate
+    bad = PairGeometry(("p", "q"), Slope(0, 1), 1, (4, 4), 1, 1)
+    with pytest.raises(GeometryError, match=r"belt point \(50, 2\) has no slot in the window"):
+        bad.slot(50, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -834,6 +949,21 @@ def test_decide_rejects_negative_counters(left, right):
     match = "unknown state pair" if left[0] == "x" else "non-negative"
     with pytest.raises(NetError, match=match):
         _engine(NET_A, NET_ACOPY).decide(left, right)
+
+
+@pytest.mark.parametrize(
+    "left,right", [(("p", 4), ("q", 4.5)), (("p", 3.5), ("q", 3)), (("p", "3"), ("q", 5))]
+)
+def test_configs_and_decide_reject_counters_that_are_not_integers(left, right):
+    # ("q", 4.5) was answered true, a configuration that does not exist, and
+    # ("p", 3.5) raised TypeError from a list index
+    eng = _engine(NET_A, NET_ACOPY)
+    with pytest.raises(NetError, match="non-negative integers"):
+        eng.decide(left, right)
+    with pytest.raises(NetError, match="non-negative integer"):
+        Config(*(right if isinstance(left[1], int) else left))
+    assert eng.decide(Config("p", 3), ("q", 5)) is True
+    assert eng.decide(("p", 3), Config("q", 5)) is True
 
 
 @pytest.mark.parametrize(
