@@ -89,6 +89,26 @@ def _split_pair(item: str, spoiler: Ocn, duplicator: Ocn) -> tuple[str, str] | N
     return splits[0] if len(splits) == 1 else None
 
 
+def _split_pairs(text: str, spoiler: Ocn, duplicator: Ocn) -> list[tuple[str, str]] | None:
+    """The state pairs `q,q';...` names: state names may contain semicolons
+    too, so it splits at the semicolons that leave every item a pair
+    `_split_pair` accepts, and is None when no set of them or more than one
+    does."""
+    cuts = [-1, *(i for i, ch in enumerate(text) if ch == ";"), len(text)]
+    # an item spans at most this many semicolons: its two states'
+    most = max(q.count(";") for q in spoiler.states) + max(q.count(";") for q in duplicator.states)
+    # per cut: the ways, at most two, to split the text before it
+    ways: list[list[list[tuple[str, str]]]] = [[[]]]
+    for c in range(1, len(cuts)):
+        found = []
+        for b in range(max(0, c - 1 - most), c):
+            pair = _split_pair(text[cuts[b] + 1 : cuts[c]], spoiler, duplicator) if ways[b] else None
+            if pair is not None:
+                found.extend(head + [pair] for head in ways[b])
+        ways.append(found[:2])
+    return ways[-1][0] if len(ways[-1]) == 1 else None
+
+
 def check(mode, tau, as_json, max_depth, max_period, max_rect, dump_dir,
           net_a, net_b, conf_a, conf_b):
     """Decide whether CONF_A of NET_A is simulated by CONF_B of NET_B."""
@@ -233,13 +253,14 @@ def export(out, pairs_opt, net_a, net_b):
     duplicator = _load_net(net_b)
     keep = None
     if pairs_opt:
-        keep = set()
-        for item in pairs_opt.split(";"):
-            pair = _split_pair(item, spoiler, duplicator)
-            if pair is None:
-                print(f"bad --pairs item {item!r}", file=sys.stderr)
-                sys.exit(EXIT_PARSE)
-            keep.add(pair)
+        pairs = _split_pairs(pairs_opt, spoiler, duplicator)
+        if pairs is None:
+            # name the first item a split at every semicolon rejects
+            bad = [item for item in pairs_opt.split(";") if not _split_pair(item, spoiler, duplicator)]
+            print(f"bad --pairs item {bad[0]!r}" if bad else f"ambiguous --pairs {pairs_opt!r}",
+                  file=sys.stderr)
+            sys.exit(EXIT_PARSE)
+        keep = set(pairs)
     engine = StrongSimEngine(spoiler, duplicator)
     col = engine.certified_coloring()
     if col is None:

@@ -12,9 +12,10 @@ import pytest
 
 from nets import NET_A, NET_ACOPY, NET_B, NET_Z, criterion_7_pairs, random_net
 from ocnsim.core import Config, Ocn, normalize_pair
-from ocnsim.coloring import StrongSimEngine, find_equal_cross_sections
+from ocnsim.coloring import StrongSimEngine
 from ocnsim.geometry import Slope, c_above, c_below, is_behind
 from ocnsim.oracle import bounded_weak_round_winner, check_candidate
+from ocnsim.quotient import find_equal_cross_sections
 from ocnsim.slope_game import DUPLICATOR, SPOILER
 from ocnsim.weaksim import converge_weak, decide_weak
 

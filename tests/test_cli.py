@@ -242,7 +242,7 @@ def test_cli_imports_no_click():
 def test_imports_load_no_dataclasses():
     # -S keeps site packages from importing either module themselves
     code = (
-        "import sys, ocnsim.cli, ocnsim.weaksim, ocnsim.oracle\n"
+        "import sys, ocnsim.cli, ocnsim.weaksim, ocnsim.oracle, ocnsim.quotient, ocnsim.attractor\n"
         "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(ocnsim.__file__).parents[1])}
@@ -251,6 +251,59 @@ def test_imports_load_no_dataclasses():
         timeout=120,
     )
     assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+
+
+LAYERS = ("ocnsim.quotient", "ocnsim.attractor")
+
+
+@pytest.mark.parametrize(
+    "conf_a,conf_b,j,loaded",
+    [
+        ("p:0", "q:40", None, []),  # a zone answers
+        ("p:3", "q:5", 27, ["ocnsim.quotient"]),  # round 0's coloring answers
+        ("p:10", "q:9", 27, sorted(LAYERS)),  # a Spoiler win answers
+    ],
+)
+def test_check_loads_the_belt_layers_on_a_belt_query(conf_a, conf_b, j, loaded):
+    code = (
+        "import json, sys\n"
+        "from ocnsim.cli import main\n"
+        "try:\n"
+        "    main(sys.argv[1:])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        f"print(json.dumps(sorted(sys.modules.keys() & {set(LAYERS)!r})))\n"
+    )
+    proc = run_python(code, "check", "--json", A, ACOPY, conf_a, conf_b)
+    assert proc.stdout.count("\n") == 2, proc.stderr
+    verdict, layers = proc.stdout.splitlines()
+    assert json.loads(verdict)["j"] == j
+    assert json.loads(layers) == loaded
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import ocnsim\nnames = {name: getattr(ocnsim, name) for name in ocnsim.__all__}\n",
+        "from ocnsim import *\nimport ocnsim\nnames = {name: globals()[name] for name in ocnsim.__all__}\n",
+    ],
+)
+def test_package_names_resolve_in_a_fresh_process(code):
+    # `QuotientColoring` and `verify_coloring` load their layer on first access
+    proc = run_python(f"{code}print(len(names) == len(ocnsim.__all__), hasattr(ocnsim, 'nope'))")
+    assert proc.returncode == 0 and proc.stdout == "True False\n", proc.stderr
+
+
+def test_coloring_serves_the_moved_layers_under_their_old_names():
+    # the names `bench/tracing.py` imports from `ocnsim.coloring`
+    from ocnsim import attractor, coloring, quotient
+
+    assert coloring.QuotientColoring is quotient.QuotientColoring
+    assert coloring.SpoilerAttractor is attractor.SpoilerAttractor
+    assert ocnsim.QuotientColoring is quotient.QuotientColoring
+    assert ocnsim.verify_coloring is quotient.verify_coloring
+    with pytest.raises(AttributeError):
+        coloring.nope
 
 
 def test_undecodable_net_file_exits_64(tmp_path):
@@ -436,6 +489,34 @@ def test_pair_options_split_at_the_comma_between_two_states(tmp_path, dup_states
         assert [(p["q"], p["q'"]) for p in obj["pairs"]] == [("x,y", "q")]
     else:
         assert "bad --pairs item 'x,y,q'" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "sp_states,pairs,kept",
+    [
+        ("a;b a", "a;b,q", [("a;b", "q")]),
+        ("a;b a", "a,q;a;b,q", [("a", "q"), ("a;b", "q")]),
+        # (p, q) and (p, q) again, or (p,q;p, q): two splits name pairs
+        ("p p,q;p", "p,q;p,q", None),
+    ],
+)
+def test_export_pairs_split_at_the_semicolons_between_pairs(tmp_path, sp_states, pairs, kept):
+    # state names may contain semicolons: the option splits only where every
+    # item names a pair, and must split so in exactly one way
+    sp, dup = tmp_path / "sp.ocn", tmp_path / "dup.ocn"
+    loops = "".join(f"{s} a 0 {s}\n" for s in sp_states.split())
+    sp.write_text(f"net S\nstates {sp_states}\nactions a\n{loops}", encoding="utf-8")
+    dup.write_text("net D\nstates q\nactions a\nq a 0 q\n", encoding="utf-8")
+    out = tmp_path / "out.json"
+    res = run("export", "--out", str(out), "--pairs", pairs, str(sp), str(dup))
+    if kept is None:
+        assert res.exit_code == 64
+        assert f"ambiguous --pairs {pairs!r}" in res.stderr
+        assert not out.exists()
+    else:
+        assert res.exit_code == 0, res.stderr
+        obj = json.loads(out.read_text(encoding="utf-8"))
+        assert [(p["q"], p["q'"]) for p in obj["pairs"]] == kept
 
 
 @pytest.mark.parametrize("pairs", ["nope,zz", "p,zz", "p,q;nope,q"])

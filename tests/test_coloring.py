@@ -22,19 +22,17 @@ from nets import (
 )
 from ocnsim import core
 from ocnsim.core import Config, NetError, Ocn, build_product, normalize_pair
+from ocnsim.attractor import SpoilerAttractor
 from ocnsim.coloring import (
     MAX_ROUNDS,
     EngineLimits,
     GeometryError,
     PairGeometry,
-    QuotientColoring,
-    SpoilerAttractor,
     StrongSimEngine,
-    find_equal_cross_sections,
-    verify_coloring,
 )
 from ocnsim.geometry import Slope, c_above, c_below
 from ocnsim.oracle import bounded_round_winner
+from ocnsim.quotient import QuotientColoring, find_equal_cross_sections, verify_coloring
 from ocnsim.weaksim import converge_weak
 
 

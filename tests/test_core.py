@@ -17,7 +17,7 @@ from ocnsim.core import (
     parse_net,
     steps,
 )
-from ocnsim.coloring import SpoilerAttractor
+from ocnsim.attractor import SpoilerAttractor
 from ocnsim.geometry import Slope
 from ocnsim.oracle import bounded_round_winner
 from ocnsim.slope_game import SlopeGameSolver

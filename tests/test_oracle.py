@@ -2,13 +2,14 @@ import random
 
 from nets import NET_A, NET_ACOPY, random_pair
 from ocnsim.core import Config, Ocn, normalize_pair
-from ocnsim.coloring import StrongSimEngine, verify_coloring
+from ocnsim.coloring import StrongSimEngine
 from ocnsim.oracle import (
     bounded_round_winner,
     bounded_weak_round_winner,
     check_candidate,
     weak_successors,
 )
+from ocnsim.quotient import verify_coloring
 
 
 def _norm(a, b):
