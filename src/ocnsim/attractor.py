@@ -179,32 +179,44 @@ class SpoilerAttractor:
         i = bisect_right(rows, m, key=itemgetter(n))
         return self._rounds[pair][i] if i < len(rows) else None
 
+    def row(self, pair: Node, n: int, depth: int) -> int:
+        """How many lowest cells of column min(n, depth), the column
+        `unconfirmed` searches, the rows of rounds up to `depth` win."""
+        n = min(n, depth)
+        i = bisect_right(self._rounds[pair], depth) if n <= self.bound and pair in self._rows else 0
+        return self._rows[pair][i - 1][n] if i else 0
+
     def unconfirmed(
         self, points: list[tuple[Node, Point]], depth: int
     ) -> list[tuple[Node, Point]]:
         """The points from which Spoiler has no win within `depth` rounds.
 
+        Duplicator is stuck only at counter 0, and a counter moves one per
+        round at most, so no win within `depth` rounds starts from m >= depth
+        (`decide` asks none), and from n >= depth every Spoiler rule stays
+        enabled that long, so the play is that from (depth, m): a point is
+        searched with n clamped to `depth`, and needs no larger grid.
+
         A win listed on any grid is a real win, so the current grid, or the
         smallest power of two from 64 holding the unresolved points, runs
         first, toward `depth` rounds with those points as its goal.  N
         doubles only while the rounds ran out with a point unresolved and N
-        is below the points' largest coordinate plus `depth`: a counter
-        moves one per round at most, so no win within `depth` rounds leaves
-        a grid that large."""
+        is below the points' largest coordinate plus `depth`: no win within
+        `depth` rounds leaves a grid that large."""
 
-        def unresolved(pts: list[tuple[Node, Point]]) -> list[tuple[Node, Point]]:
-            return [(p, pt) for p, pt in pts if (r := self.rank(p, pt)) is None or r > depth]
+        def unresolved(xs: list[tuple[Node, Point, Point]]) -> list[tuple[Node, Point, Point]]:
+            return [(p, pt, at) for p, pt, at in xs if (r := self.rank(p, at)) is None or r > depth]
 
-        left = unresolved(points)
-        if not left:
-            return left
-        top = max(max(pt) for _, pt in left)
-        bound = max(self.bound, 64)
-        while bound < top:
-            bound *= 2
-        while True:
-            self.ensure(bound, depth, left)
-            left = unresolved(left)
-            if not left or bound >= top + depth:
-                return left
-            bound *= 2
+        left = unresolved([(p, pt, (min(pt[0], depth), pt[1])) for p, pt in points])
+        if left:
+            top = max(max(at) for _, _, at in left)
+            bound = max(self.bound, 64)
+            while bound < top:
+                bound *= 2
+            while True:
+                self.ensure(bound, depth, [(p, at) for p, _, at in left])
+                left = unresolved(left)
+                if not left or bound >= top + depth:
+                    break
+                bound *= 2
+        return [(p, pt) for p, pt, _ in left]

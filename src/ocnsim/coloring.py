@@ -11,6 +11,7 @@ a process whose queries all fall in zones never compiles them.
 
 from __future__ import annotations
 
+from importlib import import_module
 from math import inf
 from typing import TYPE_CHECKING
 
@@ -249,6 +250,8 @@ class StrongSimEngine:
         # per round (j, k): its coloring, or None once the round is capped
         self.colorings: dict[tuple[int, int], QuotientColoring | None] = {}
         self._j0 = j0
+        # per queried (pair, n): [f, g], its column false below f, true from g
+        self._columns: dict[tuple[Node, int], list[int]] = {}
         # built on first use (`_spoiler_search`); an attribute, not a cached
         # property, since one would give the engine a materialized __dict__,
         # which slows every attribute read of a warm `decide`
@@ -281,7 +284,7 @@ class StrongSimEngine:
         return self.colorings[key]
 
     def _drop_round(self, j: int, k: int, exc: GeometryError) -> None:
-        """Cap round (j, k), whose build, certification or a `decide` lookup
+        """Cap round (j, k), whose build, certification or a `decide` read
         raised `exc`: below j0 = w + 2c + 1, where `max_rect` cut the window,
         a belt point may have no slot in it, so the round is kept as a None
         entry of `colorings` and its coloring is not built again.  At
@@ -301,12 +304,18 @@ class StrongSimEngine:
     def spoiler_rank(self, pair: Node, pt: Point, depth: int) -> int | None:
         """Rounds within which Spoiler wins from the point, if at most `depth`."""
         att = self._spoiler_search()
-        r = att.rank(pair, pt)
-        if r is not None and r <= depth:
-            return r
         if att.unconfirmed([(pair, pt)], depth):
             return None
-        return att.rank(pair, pt)
+        return att.rank(pair, (min(pt[0], depth), pt[1]))
+
+    def _spoiler_wins(self, column: list[int], pair: Node, pt: Point, depth: int) -> bool:
+        """Whether Spoiler wins from pt within `depth` rounds, by the rows run
+        so far or a search run toward pt alone; pt's row raises column's f."""
+        att = self._spoiler_search()
+        if pt[1] >= att.row(pair, pt[0], depth):
+            att.unconfirmed([(pair, pt)], depth)
+        column[0] = max(column[0], att.row(pair, pt[0], depth))
+        return pt[1] < column[0]
 
     def _ensure_exact(self, col: QuotientColoring) -> bool:
         """Upgrade a YES-certified coloring to a fully exact description:
@@ -341,9 +350,9 @@ class StrongSimEngine:
 
     def decide(self, left: "Config | tuple[str, int]", right: "Config | tuple[str, int]") -> bool | None:
         """Exact simulation answer, or None when the resource caps are hit.
-        `true` comes from a certified coloring's lookup, `false` from the
-        attractor or from an exact coloring, whose lookup of the point came
-        back false, and None otherwise."""
+        As simulation is upward closed in m, column n's interval [f, g)
+        answers an m outside it; inside, a certified coloring's read answers
+        true, the Spoiler search or an exact coloring false, narrowing it."""
         lstate, ln = (left.state, left.counter) if isinstance(left, Config) else left
         rstate, rn = (right.state, right.counter) if isinstance(right, Config) else right
         if not (isinstance(ln, int) and isinstance(rn, int) and ln >= 0 and rn >= 0):
@@ -351,42 +360,41 @@ class StrongSimEngine:
         pair: Node = (lstate, rstate)
         if pair not in self.scans:
             raise NetError(f"unknown state pair {pair}")
-        pt: Point = (ln, rn)
-        belt = self._belts[pair]
-        zone = belt.zone(pt)
-        if zone is not None:
-            return zone
-        attractor_feasible = max(pt) <= 4 * self.limits.max_rect
-        rho, rho2 = belt.slope.rho, belt.slope.rho_prime
+        column = self._columns.get((pair, ln))
+        if column is None:
+            lo, hi = self._belts[pair].span(ln)
+            column = self._columns[pair, ln] = [lo, hi + 1]
+        if rn < column[0]:
+            return False
+        if rn >= column[1]:
+            return True
         for rnd, (j, k, depth) in enumerate(self.schedule):
-            # under the round's window cap l0 + (j + k) * slope, l0 = (w, w)
-            inside = ln <= self.w + (j + k) * rho and rn <= self.w + (j + k) * rho2
-            # past round 0, a point inside a window whose coloring is not
-            # built yet asks the attractor first: the point's attractor table
-            # exists from the earlier round, and a Spoiler win saves the
-            # build.  Round 0's coloring is built for any belt point, whoever
-            # wins it: `export` and `check --json` need it anyway.
-            spoiler_first = (
-                rnd > 0 and attractor_feasible and inside and (j, k) not in self.colorings
-            )
-            if spoiler_first and self.spoiler_rank(pair, pt, depth) is not None:
+            # no Spoiler win within `depth` rounds starts from m >= depth
+            # (`SpoilerAttractor.unconfirmed`): only exactness can answer false
+            searchable = rn < depth
+            # past round 0 the search goes first, as a win saves a build; round
+            # 0's coloring is built for any point: `export` and `--json` need it
+            first = searchable and rnd > 0 and (j, k) not in self.colorings
+            if first and self._spoiler_wins(column, pair, (ln, rn), depth):
                 return False
             col = self.coloring(j, k)
             if col is not None and col.certified_yes:
+                # read no lower than the point: a vertical belt's column holds
+                # as many wrap bands below it as its counter allows
                 try:
-                    if col.belt_value(pair, pt):
-                        return True
+                    thr = col.read(pair, ln, rn, 0, rn)
                 except GeometryError as exc:
                     self._drop_round(j, k, exc)
                 else:
-                    # beyond the window an exact coloring answers without a
-                    # search as deep as the counter
-                    if (not inside or not attractor_feasible) and self._ensure_exact(col):
+                    if thr <= rn:
+                        column[1] = thr
+                        return True
+                    if not searchable and self._ensure_exact(col):
                         return False
-            if attractor_feasible and not spoiler_first and self.spoiler_rank(pair, pt, depth) is not None:
+            if searchable and not first and self._spoiler_wins(column, pair, (ln, rn), depth):
                 return False
         # every round's coloring is built by now, so this builds nothing, and
-        # the certified one's lookup of the point came back false
+        # the certified one's read of the point came back false
         col = self.certified_coloring()
         if col is not None and self._ensure_exact(col):
             return False
@@ -429,12 +437,7 @@ class StrongSimEngine:
 
 def __getattr__(name: str):
     # the layers the engine loads on demand, served under their old names
-    if name == "QuotientColoring":
-        from .quotient import QuotientColoring
-
-        return QuotientColoring
-    if name == "SpoilerAttractor":
-        from .attractor import SpoilerAttractor
-
-        return SpoilerAttractor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = {"QuotientColoring": "quotient", "SpoilerAttractor": "attractor"}.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __package__), name)

@@ -20,14 +20,6 @@ class BoundedVerdict:
         self.spoiler_wins = spoiler_wins
         self.rounds = rounds
 
-    @staticmethod
-    def spoiler_wins_within(rounds: int) -> "BoundedVerdict":
-        return BoundedVerdict(True, rounds)
-
-    @staticmethod
-    def duplicator_survives(rounds: int) -> "BoundedVerdict":
-        return BoundedVerdict(False, rounds)
-
 
 def bounded_round_winner(
     nets: tuple[Ocn, Ocn], position: tuple[Config, Config], rounds: int
@@ -63,8 +55,8 @@ def bounded_round_winner(
     left, right = position
     for budget in _budgets(rounds):
         if spoiler_wins(left, right, budget):
-            return BoundedVerdict.spoiler_wins_within(budget)
-    return BoundedVerdict.duplicator_survives(rounds)
+            return BoundedVerdict(True, budget)
+    return BoundedVerdict(False, rounds)
 
 
 def _budgets(rounds: int):
@@ -140,8 +132,8 @@ def bounded_weak_round_winner(
     left, right = position
     for budget in _budgets(rounds):
         if spoiler_wins(left, right, budget):
-            return BoundedVerdict.spoiler_wins_within(budget)
-    return BoundedVerdict.duplicator_survives(rounds)
+            return BoundedVerdict(True, budget)
+    return BoundedVerdict(False, rounds)
 
 
 def check_candidate(nets: tuple[Ocn, Ocn], col, window: tuple[int, int]) -> list[tuple[Node, tuple[int, int]]]:

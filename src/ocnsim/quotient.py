@@ -24,16 +24,10 @@ class VerificationReport:
 
     __slots__ = ("yes_violations", "no_unconfirmed", "periodicity_failures")
 
-    def __init__(
-        self,
-        yes_violations: list[tuple[Node, Point]] | None = None,
-        no_unconfirmed: list[tuple[Node, Point]] | None = None,
-        periodicity_failures: list[str] | None = None,
-    ) -> None:
-        self.yes_violations = [] if yes_violations is None else yes_violations
-        self.no_unconfirmed = [] if no_unconfirmed is None else no_unconfirmed
-        self.periodicity_failures = [] if periodicity_failures is None else periodicity_failures
-
+    def __init__(self) -> None:
+        self.yes_violations: list[tuple[Node, Point]] = []
+        self.no_unconfirmed: list[tuple[Node, Point]] = []
+        self.periodicity_failures: list[str] = []
 
 
 # ---------------------------------------------------------------------------
@@ -105,22 +99,34 @@ class QuotientColoring:
     # -- lookup ------------------------------------------------------------
 
     def lookup(self, pair: Node, pt: Point) -> bool:
-        """The point's value: its zone's, else its window slot's."""
-        zone = self.geometry[pair].zone(pt)
-        return self.belt_value(pair, pt) if zone is None else zone
-
-    def belt_value(self, pair: Node, pt: Point) -> bool:
-        """The value of a belt point: its window slot's (`PairGeometry.slot`).
-        A solved coloring compares the slot's m with its column's
-        threshold."""
-        n, m = pt
-        n, m, _ = self.geometry[pair].slot(n, m, m)
+        """The point's value: its zone's, else its window slot's
+        (`PairGeometry.slot`).  A solved coloring compares the slot's m with
+        its column's threshold."""
+        geo = self.geometry[pair]
+        zone = geo.zone(pt)
+        if zone is not None:
+            return zone
+        n, m, _ = geo.slot(*pt, pt[1])
         if self._g is None:
             try:
                 return self._values[pair][n, m]
             except KeyError as exc:
                 raise GeometryError(f"{pair}: slot {(n, m)} missing from the given values") from exc
         return m >= self._g[self._first[pair] + n]
+
+    def read(self, pair: Node, n: int, hi: int, d2: int, floor: int) -> int:
+        """The threshold of a solved coloring's read laid out by `_lay_out`,
+        walked as the solver walks its reads: the least m from which the
+        reply lands on true points up to hi, at most floor if on all of the
+        range, and above hi if not at hi."""
+        thr, segs = _lay_out(self.geometry[pair], self._first[pair], n, hi, d2, floor)
+        g = self._g
+        for col, shift, low in segs:
+            m = g[col] + shift
+            if m > low:
+                return min(thr, m)
+            thr = low
+        return thr
 
     def _alternatives(self, pair: Node, pt: Point):
         """Enabled one-round alternatives: per enabled Spoiler rule, the list
@@ -270,8 +276,8 @@ class QuotientColoring:
         its points from the threshold up, and `_translates_hold` checks it a
         translate at a time: translate s is column n + s*k*rho over the range
         shifted by s*k*rho'.  It passes when every Spoiler rule enabled there
-        has a reply whose read, laid out as the solver lays out its reads,
-        has its threshold at most the range's bottom.  Such a reply lands on
+        has a reply whose `read`, laid out down to the range's bottom, has
+        its threshold at most that bottom.  Such a reply lands on
         a true point at every m of the range, so the test is sound.  It can
         fail where the condition holds, when a rule's replies cover the range
         only between them; then, or when laying out a read raises, the
@@ -330,26 +336,14 @@ class QuotientColoring:
         self, pair: Node, n: int, ms: range, step: Point, horizon: int
     ) -> bool:
         """Whether the column test passes the true range ms of window column
-        n at each of its first `horizon` translates by `step`.  A read's
-        threshold is walked from the thresholds as the solver walks it."""
-        geometry, first, g = self.geometry, self._first, self._g
+        n at each of its first `horizon` translates by `step`."""
         try:
             for s in range(1, horizon + 1):
                 n1, bottom, top = n + s * step[0], ms[0] + s * step[1], ms[-1] + s * step[1]
                 for _, d, replies in self.product.moves[pair]:
-                    if n1 + d < 0:
-                        continue
-                    for d2, t in replies:
-                        thr, segs = _lay_out(geometry[t], first[t], n1 + d, top, d2)
-                        for col, shift, low in segs:
-                            m = g[col] + shift
-                            if m > low:
-                                thr = min(thr, m)
-                                break
-                            thr = low
-                        if thr <= bottom:
-                            break
-                    else:
+                    if n1 + d >= 0 and not any(
+                        self.read(t, n1 + d, top, d2, bottom) <= bottom for d2, t in replies
+                    ):
                         return False
         except GeometryError:
             return False
@@ -383,20 +377,21 @@ class QuotientColoring:
         return {"schema": 1, "l0": list(l0), "pairs": pairs}
 
 
-def _lay_out(geo: PairGeometry, first: int, n2: int, hi: int, d2: int):
+def _lay_out(geo: PairGeometry, first: int, n2: int, hi: int, d2: int, floor: int = -1):
     """The layout of a read of column n2 of a pair whose geometry is `geo`
-    and whose column 0 is window column `first`, by a range whose highest m
-    is hi, through a reply of counter change d2: the read's threshold if its
-    top is false, then per segment from the top down, the number of the
-    window column it reads, the m shift and the segment's lowest m, all in
-    the reader's m.  Each segment is one band of `PairGeometry.slot`, which
-    raises GeometryError where `QuotientColoring.lookup` of a point the read
-    passes would."""
+    and whose column 0 is window column `first`, by the range [floor, hi]
+    (by default all of the column below hi) through a reply of counter
+    change d2: the read's threshold if its top is false, then per segment
+    from the top down, the number of the window column it reads, the m
+    shift and the segment's lowest m, all in the reader's m.  Each segment
+    is one band of `PairGeometry.slot`, which raises GeometryError where
+    `QuotientColoring.lookup` of a point of the range would."""
     cols = geo.columns
     top = hi + d2
     if n2 < len(cols) and top <= cols[n2][1]:  # inside the window column
         return hi + 1, [(first + n2, -d2, cols[n2][0] - 1 - d2)]
     low, high = geo.span(n2)
+    low = max(low, floor + d2)
     top = min(top, high)  # above it, the above-zone
     segs = []
     m2 = top

@@ -267,11 +267,9 @@ class SuffTable:
 
     __slots__ = ("pairs", "rows")
 
-    def __init__(
-        self, pairs: tuple[Node, ...], rows: list[dict[Node, int | None]] | None = None
-    ) -> None:
+    def __init__(self, pairs: tuple[Node, ...]) -> None:
         self.pairs = pairs
-        self.rows = [] if rows is None else rows
+        self.rows: list[dict[Node, int | None]] = []
 
     def seed(self) -> dict[Node, int | None]:
         row: dict[Node, int | None] = {p: None for p in self.pairs}

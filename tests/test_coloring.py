@@ -106,11 +106,12 @@ def test_geometry_error_is_a_cap_only_below_j0(monkeypatch, max_rect, raises):
     # that leaves it is a resource cap; in a window of j0 or more it is a fault
     eng = _engine(NET_A, NET_ACOPY, limits=EngineLimits(max_rect=max_rect))
 
-    def broken(self, pair, pt):
+    def broken(self, pair, n, hi, d2, floor):
         raise GeometryError("belt point has no slot in the window")
 
-    # `decide` reads a belt point's value through `belt_value`
-    monkeypatch.setattr(QuotientColoring, "belt_value", broken)
+    # `decide` reads a belt point's column through `read`, as certification
+    # reads its translates, which falls back to the point test when it raises
+    monkeypatch.setattr(QuotientColoring, "read", broken)
     if raises:
         with pytest.raises(GeometryError):
             eng.decide(("p", 30), ("q", 31))
@@ -278,6 +279,17 @@ def test_unconfirmed_matches_a_grid_sized_for_its_points():
             assert att.unconfirmed(points, depth) == want, (nets, points, depth)
             grown += att.bound > max(before, 64)
     assert grown >= 10
+
+
+def test_spoiler_rank_clamps_a_deep_spoiler_counter():
+    # from n >= 32 every Spoiler rule stays enabled for 32 rounds, so a
+    # deeper counter is searched as n = 32, on the grid that point needs
+    want = _engine(NET_A, NET_ACOPY).spoiler_rank(("p", "q"), (32, 5), 32)
+    assert want == 6
+    for n in (10**4, 10**30):
+        eng = _engine(NET_A, NET_ACOPY)
+        assert eng.spoiler_rank(("p", "q"), (n, 5), 32) == want
+        assert eng._attractor.bound == 64
 
 
 # ---------------------------------------------------------------------------
@@ -1055,6 +1067,34 @@ def test_decide_strong_huge_counters():
     assert eng.decide(("p", big), ("q", big)) is True
     assert eng.decide(("p", big + 1), ("q", big)) is False
     assert eng.decide(("p", big), ("q", 3)) is False
+
+
+def test_answers_do_not_depend_on_query_order():
+    # each answer narrows its column's interval, which later queries read:
+    # a grid asked row by row, the same grid shuffled, and fresh engines
+    # for a sample of its belt points must all answer alike
+    rng = random.Random(27)
+    for seed in range(20):
+        nets = random_pair(seed)
+        by_rows, shuffled = _engine(*nets), _engine(*nets)
+        queries = [
+            ((q, n), (q2, m))
+            for q in nets[0].states
+            for q2 in nets[1].states
+            for n in range(30)
+            for m in range(30)
+        ]
+        want = {query: by_rows.decide(*query) for query in queries}
+        order = queries[:]
+        rng.shuffle(order)
+        assert {query: shuffled.decide(*query) for query in order} == want, seed
+        belt = [
+            ((q, n), (q2, m))
+            for (q, n), (q2, m) in queries
+            if by_rows._belts[q, q2].zone((n, m)) is None
+        ]
+        for query in rng.sample(belt, min(4, len(belt))):
+            assert _engine(*nets).decide(*query) == want[query], (seed, query)
 
 
 def test_spoiler_win_past_round_0_builds_no_further_coloring():
