@@ -193,12 +193,13 @@ class SpoilerAttractor:
 
         Duplicator is stuck only at counter 0, and a counter moves one per
         round at most, so no win within `depth` rounds starts from m >= depth
-        (`decide` asks none), and from n >= depth every Spoiler rule stays
+        (`decide` asks none): such a point is reported at once, and runs no
+        round and sizes no grid.  From n >= depth every Spoiler rule stays
         enabled that long, so the play is that from (depth, m): a point is
         searched with n clamped to `depth`, and needs no larger grid.
 
         A win listed on any grid is a real win, so the current grid, or the
-        smallest power of two from 64 holding the unresolved points, runs
+        smallest power of two from 64 holding the searched points, runs
         first, toward `depth` rounds with those points as its goal.  N
         doubles only while the rounds ran out with a point unresolved and N
         is below the points' largest coordinate plus `depth`: no win within
@@ -207,7 +208,7 @@ class SpoilerAttractor:
         def unresolved(xs: list[tuple[Node, Point, Point]]) -> list[tuple[Node, Point, Point]]:
             return [(p, pt, at) for p, pt, at in xs if (r := self.rank(p, at)) is None or r > depth]
 
-        left = unresolved([(p, pt, (min(pt[0], depth), pt[1])) for p, pt in points])
+        left = unresolved([(p, pt, (min(pt[0], depth), pt[1])) for p, pt in points if pt[1] < depth])
         if left:
             top = max(max(at) for _, _, at in left)
             bound = max(self.bound, 64)
@@ -219,4 +220,5 @@ class SpoilerAttractor:
                 if not left or bound >= top + depth:
                     break
                 bound *= 2
-        return [(p, pt) for p, pt, _ in left]
+        unwon = {(p, pt) for p, pt, _ in left}
+        return [(p, pt) for p, pt in points if pt[1] >= depth or (p, pt) in unwon]

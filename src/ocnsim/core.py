@@ -185,8 +185,9 @@ class ProductGraph:
     Both levels follow net transition order, which fixes the order the games
     explore, and a Spoiler rule that Duplicator cannot answer keeps an empty
     reply tuple.  The pairs follow the full product's order; K is their
-    number.  `successors` and the strongly connected components `sccs` are
-    derived from `moves` once, on first use.
+    number.  `successors`, the strongly connected components `sccs` and each
+    pair's component index `scc_index` are derived from `moves` once, on
+    first use.
     """
 
     __setattr__ = _read_only
@@ -210,6 +211,11 @@ class ProductGraph:
     def sccs(self) -> list[list[Node]]:
         """The strongly connected components, in reverse topological order."""
         return _tarjan_sccs(self.nodes, self.successors)
+
+    @cached_property
+    def scc_index(self) -> dict[Node, int]:
+        """Each pair's index in `sccs`."""
+        return {v: i for i, scc in enumerate(self.sccs) for v in scc}
 
 
 def build_product(
@@ -299,8 +305,7 @@ def graph_parameters(g: ProductGraph) -> tuple[int, int]:
     (weight = SCC size) minus one; over-estimating only widens belts, which
     keeps the belt constant sound.
     """
-    sccs = g.sccs
-    comp_of = {v: i for i, scc in enumerate(sccs) for v in scc}
+    sccs, comp_of = g.sccs, g.scc_index
     scc_max = max((len(s) for s in sccs), default=0)
 
     comp_succ: dict[int, set[int]] = {i: set() for i in range(len(sccs))}

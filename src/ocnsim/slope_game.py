@@ -54,6 +54,16 @@ class SlopeGameSolver:
     chain depth and position memo to itself, in the closures of
     `_phase_value`.  The solver tracks the deepest phase chain it ever
     explores, which the theory bounds by (K+1)^2.
+
+    A reply into a pair of another strongly connected component starts a
+    fresh phase at the same slope, shared through the (node, slope) memo.
+    A lasso closes only on a visited node reachable from the reply's pair,
+    and none is: each visited node reaches the current pair, which reaches
+    the reply's pair, so a way back would put both pairs in one component.
+    The subtree below the reply never reads the path above it, so its value,
+    segment depth included, is the phase value there.  A shared subtree is
+    searched once, at the first chain depth reaching it, so `max_phase_depth`
+    may read lower than in a search that walks it below every start.
     """
 
     def __init__(self, product: ProductGraph):
@@ -75,7 +85,7 @@ class SlopeGameSolver:
         hit = self._memo.get((node, slope))
         if hit is not None:
             return hit
-        moves = self.product.moves
+        moves, scc_of, memo = self.product.moves, self.product.scc_index, self._memo
         phase_memo: dict = {}
 
         # visited maps each path node to the cumulative effect at its first
@@ -100,7 +110,7 @@ class SlopeGameSolver:
                         f"product graph incomplete: no {a!r}-reply at {at[1]!r} "
                         "(nets must be normalized)"
                     )
-                sub = reply(visited, tx, ty, d, replies)
+                sub = reply(scc_of[at], visited, tx, ty, d, replies)
                 if sub.winner == SPOILER:
                     # any winning rule suffices; its depth is a sound strategy depth
                     result = sub
@@ -112,6 +122,7 @@ class SlopeGameSolver:
             return result
 
         def reply(
+            scc: int,
             visited: dict[Node, Vec2],
             tx: int,
             ty: int,
@@ -124,15 +135,20 @@ class SlopeGameSolver:
             for d2, nxt in sorted(replies, key=lambda r: r[1] not in visited):
                 nx, ny = tx + d, ty + d2
                 first = visited.get(nxt)
-                if first is None:
-                    sub = position(nxt, {**visited, nxt: (nx, ny)}, nx, ny)
-                else:
+                if first is not None:
                     verdict = evaluate_lasso((nx - first[0], ny - first[1]), slope)
                     if isinstance(verdict, Slope):
                         inner = self._phase_value(nxt, verdict, chain_depth + 1)
                         sub = SlopeGameResult(inner.winner, inner.segment_depth + 1)
                     else:
                         sub = SlopeGameResult(verdict, 1)
+                elif scc_of[nxt] != scc:
+                    # a new component starts a phase at this slope: see the class docstring
+                    sub = memo.get((nxt, slope))
+                    if sub is None:
+                        sub = memo[nxt, slope] = position(nxt, {nxt: (0, 0)}, 0, 0)
+                else:
+                    sub = position(nxt, {**visited, nxt: (nx, ny)}, nx, ny)
                 if sub.winner == DUPLICATOR:
                     # any winning reply suffices; its depth is a sound strategy depth
                     return sub
@@ -156,10 +172,9 @@ def cycle_effect_candidates(g: ProductGraph) -> set[Vec2]:
     only refines the angular equivalence classes, which keeps the boundary
     scan sound.  Effects stay within [-K, K]^2 by construction.
     """
-    comp_of = {v: i for i, scc in enumerate(g.sccs) for v in scc}
+    comp_of = g.scc_index
     effects: set[Vec2] = set()
-    for scc in g.sccs:
-        comp = comp_of[scc[0]]
+    for comp, scc in enumerate(g.sccs):
         for anchor in scc:
             # closed walks stay within the anchor's SCC, so the simple-cycle
             # length bound is the component size

@@ -203,12 +203,12 @@ def test_attractor_resumes_where_it_stopped():
             assert r == expect, (seed, key)
     assert resumed_runs >= 10
     # Spoiler wins (30, 20) of A against A in round 21: shallower queries
-    # stop before that round and leave it unconfirmed
+    # report it at once, since m = 20 >= depth, and run no round
     att = _attractor(normalize_pair(NET_A, NET_ACOPY))
     point = [(("p", "q"), (30, 20))]
     for depth in (8, 16, 20):
         assert att.unconfirmed(point, depth) == point
-        assert att.bound == 64 and att.max_rank == depth
+        assert att.bound == -1 and att.max_rank == 0
     assert att.unconfirmed(point, 21) == []
     assert att.rank(("p", "q"), (30, 20)) == 21 and att.max_rank == 21
 
@@ -278,7 +278,9 @@ def test_unconfirmed_matches_a_grid_sized_for_its_points():
             before = att.bound
             assert att.unconfirmed(points, depth) == want, (nets, points, depth)
             grown += att.bound > max(before, 64)
-    assert grown >= 10
+    # only points with m < depth are searched and size the grid: 7 of the
+    # queries grow it
+    assert grown >= 5
 
 
 def test_spoiler_rank_clamps_a_deep_spoiler_counter():
@@ -290,6 +292,22 @@ def test_spoiler_rank_clamps_a_deep_spoiler_counter():
         eng = _engine(NET_A, NET_ACOPY)
         assert eng.spoiler_rank(("p", "q"), (n, 5), 32) == want
         assert eng._attractor.bound == 64
+
+
+def test_spoiler_rank_reports_a_deep_duplicator_counter_at_once():
+    # no win within 32 rounds starts from m >= 32: such a point runs no
+    # round and sizes no grid, however large m is
+    eng = _engine(NET_A, NET_ACOPY)
+    assert eng.spoiler_rank(("p", "q"), (5, 10**30), 32) is None
+    assert eng._attractor.bound == -1 and eng._attractor.max_rank == 0
+    assert eng.spoiler_rank(("p", "q"), (5, 2000), 32) is None
+    assert eng._attractor.bound == -1
+    # with a point it does search, the grid is sized by that point alone
+    att = eng._attractor
+    assert att.unconfirmed([(("p", "q"), (5, 2000)), (("p", "q"), (40, 3))], 32) == [
+        (("p", "q"), (5, 2000))
+    ]
+    assert att.bound == 64
 
 
 # ---------------------------------------------------------------------------
@@ -1099,16 +1117,19 @@ def test_answers_do_not_depend_on_query_order():
 
 def test_spoiler_win_past_round_0_builds_no_further_coloring():
     # p:5 q:4 and p:33 q:32 lie in the belt inside the windows of rounds 0
-    # and 1.  Any belt point builds round 0's coloring; Spoiler wins from
-    # p:33 q:32 in 33 rounds, past round 0's depth, so round 1 asks the
-    # attractor before it builds its own coloring, and needs none.
+    # and 1.  Any belt point builds round 0's coloring.  Spoiler wins from
+    # p:33 q:32 in 33 rounds, past round 0's depth of 32, so round 0 does
+    # not search it: its coloring, made exact, answers it, and round 1
+    # builds no coloring of its own.
     eng = _engine(NET_A, NET_ACOPY)
-    (j0, k0, _), (j1, k1, depth1) = eng.schedule[:2]
+    (j0, k0, depth0), (j1, k1, depth1) = eng.schedule[:2]
     assert eng._belts[("p", "q")].zone((5, 4)) is None
     assert eng.decide(("p", 5), ("q", 4)) is False
-    assert list(eng.colorings) == [(j0, k0)]
+    assert list(eng.colorings) == [(j0, k0)] and not eng.colorings[j0, k0].exact
     assert eng._belts[("p", "q")].zone((33, 32)) is None
+    assert depth0 == 32
     assert eng.decide(("p", 33), ("q", 32)) is False
+    assert eng.colorings[j0, k0].exact
     assert eng.spoiler_rank(("p", "q"), (33, 32), depth1) == 33
     assert list(eng.colorings) == [(j0, k0)] and (j1, k1) != (j0, k0)
 

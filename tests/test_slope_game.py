@@ -1,7 +1,17 @@
 import random
 from math import gcd
 
-from nets import NET_A, NET_ACOPY, NET_B, NET_Z, random_pair
+from nets import (
+    NET_A,
+    NET_ACOPY,
+    NET_B,
+    NET_Z,
+    chain_pair,
+    criterion_7_pairs,
+    random_pair,
+    tau_cyclic_pair,
+)
+from ocnsim import slope_game
 from ocnsim.coloring import StrongSimEngine
 from ocnsim.core import Ocn, build_product, normalize_pair
 from ocnsim.geometry import Slope, equivalent, interval_representatives
@@ -14,6 +24,7 @@ from ocnsim.slope_game import (
     evaluate_lasso,
     scan_pair,
 )
+from ocnsim.weaksim import converge_weak
 
 
 def _product(spoiler, duplicator):
@@ -182,3 +193,98 @@ def test_scan_pair_boundary_collinear_with_candidates():
         for node in g.nodes:
             scan = scan_pair(node, reps, solver)
             assert scan.boundary.normalized() in dirs
+
+
+def _reference_phase(g, node, slope, starts):
+    """The Slope Game searched without sharing across components: every
+    position keys on the whole visited path, relative to the current
+    effect, in a memo of its own phase; only phase starts share `starts`.
+    Rules and replies are tried in the solver's order, so the first
+    winning strategy, and its segment depth, is the solver's."""
+    slope = slope.normalized()
+    if (node, slope) in starts:
+        return starts[node, slope]
+    own = {}
+
+    def position(at, visited, tx, ty):
+        key = (at, frozenset((v, tx - ex, ty - ey) for v, (ex, ey) in visited.items()))
+        if key not in own:
+            worst = 0
+            for _, d, replies in g.moves[at]:
+                winner, depth = reply(visited, tx + d, ty, replies)
+                if winner == SPOILER:
+                    own[key] = winner, depth
+                    break
+                worst = max(worst, depth)
+            else:
+                own[key] = DUPLICATOR, worst
+        return own[key]
+
+    def reply(visited, nx, ty, replies):
+        worst = 0
+        for d2, nxt in sorted(replies, key=lambda r: r[1] not in visited):
+            ny = ty + d2
+            if nxt in visited:
+                ex, ey = visited[nxt]
+                verdict = evaluate_lasso((nx - ex, ny - ey), slope)
+                if isinstance(verdict, Slope):
+                    winner, depth = _reference_phase(g, nxt, verdict, starts)
+                    depth += 1
+                else:
+                    winner, depth = verdict, 1
+            else:
+                winner, depth = position(nxt, {**visited, nxt: (nx, ny)}, nx, ny)
+            if winner == DUPLICATOR:
+                return winner, depth
+            worst = max(worst, depth)
+        return SPOILER, worst
+
+    starts[node, slope] = position(node, {node: (0, 0)}, 0, 0)
+    return starts[node, slope]
+
+
+def _engines_for_sharing():
+    for seed in range(150):
+        yield StrongSimEngine(*random_pair(seed))
+    for seed in range(10):
+        yield StrongSimEngine(*tau_cyclic_pair(seed))
+    for nets in criterion_7_pairs(25):
+        yield StrongSimEngine(*nets)
+        conv = converge_weak(*nets)
+        if conv.engine is not None:
+            yield conv.engine
+    for n in (5, 10, 20):
+        for cycle in (False, True):
+            yield StrongSimEngine(*chain_pair(n, cycle))
+
+
+def test_component_sharing_matches_the_unshared_search():
+    # a reply into another SCC reads the phase value there: every pair's
+    # winner and segment depth at every representative stay those of the
+    # search that keys on the whole path
+    engines = 0
+    for eng in _engines_for_sharing():
+        engines += 1
+        starts = {}
+        for node, scan in eng.scans.items():
+            got = [(o.winner, o.segment_depth) for o in scan.outcomes]
+            want = [_reference_phase(eng.product, node, s, starts) for s in eng.reps]
+            assert got == want, (eng.spoiler_net.name, node)
+    assert engines >= 190
+
+
+def test_chain_solves_each_pair_and_slope_once(monkeypatch):
+    # each chain pair is its own SCC: with phases shared across components,
+    # each (pair, representative) closes at most one lasso, where a search
+    # keyed on the whole path walks the chain below every start again
+    calls = 0
+
+    def counting(effect, slope):
+        nonlocal calls
+        calls += 1
+        return evaluate_lasso(effect, slope)
+
+    monkeypatch.setattr(slope_game, "evaluate_lasso", counting)
+    eng = StrongSimEngine(*chain_pair(200))
+    assert eng.product.K == 200 and calls > 0
+    assert calls <= eng.product.K * len(eng.reps)
