@@ -330,19 +330,18 @@ class StrongSimEngine:
         # point is won last, and no point below it has a larger coordinate:
         # `unconfirmed` sizes its grid and runs its rounds as for them all
         tops = [
-            (pair, (n, g - 1))
-            for pair in col.geometry
-            for n, (lo, _, g) in enumerate(col._thresholds(pair))
-            if g > lo
+            (pair, (n, ms.start - 1))
+            for pair, geo in col.geometry.items()
+            for n, ((lo, _), ms) in enumerate(zip(geo.columns, col._trues(pair)))
+            if ms.start > lo
         ]
         if self._spoiler_search().unconfirmed(tops, self.limits.spoiler_depth_cap):
             return False
         from .quotient import find_equal_cross_sections
 
-        for pair in col.geometry:
-            has_true = any(g <= hi for _, hi, g in col._thresholds(pair))
-            if has_true and find_equal_cross_sections(col, pair) is None:
-                return False
+        # a pair with no true point has equal, empty sections one step apart
+        if any(find_equal_cross_sections(col, pair) is None for pair in col.geometry):
+            return False
         col.exact = True
         return True
 

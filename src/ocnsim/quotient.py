@@ -11,6 +11,7 @@ large enough; verification makes that checkable.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from math import ceil
 
 from .coloring import HORIZON_CAP, MAX_SHIFT, GeometryError, PairGeometry, Point
@@ -45,7 +46,8 @@ class QuotientColoring:
     kept.
     Values may be given instead, as when checking an exported coloring:
     such a coloring keeps its dicts, has no thresholds, and is certified
-    point by point.
+    point by point.  Both forms give one column view (`_trues`), which every
+    reader that needs no single point reads.
     """
 
     def __init__(
@@ -74,27 +76,25 @@ class QuotientColoring:
         return {
             pair: {
                 (n, m): m >= g
-                for n, (lo, hi, g) in enumerate(self._thresholds(pair))
+                for n, ((lo, hi), g) in enumerate(zip(geo.columns, self._g[self._first[pair] :]))
                 for m in range(lo, hi + 1)
             }
-            for pair in self._first
+            for pair, geo in self.geometry.items()
         }
 
-    def _thresholds(self, pair: Node) -> list[tuple[int, int, int]]:
-        """Per window column of a solved coloring's pair: its lowest m, its
-        highest m and its threshold."""
-        first, cols = self._first[pair], self.geometry[pair].columns
-        return [(lo, hi, g) for (lo, hi), g in zip(cols, self._g[first : first + len(cols)])]
-
-    def _true_points(self, pair: Node):
-        """The pair's true window points, column by column."""
+    def _trues(self, pair: Node) -> list[range] | list[list[int]]:
+        """The column view: per window column of the pair, its true m in
+        increasing order, from the threshold up in a solved coloring.  A
+        window point that given values lack raises `lookup`'s error."""
+        cols = self.geometry[pair].columns
         if self._g is None:
-            return (pt for pt, v in self._values[pair].items() if v)
-        return (
-            (n, m)
-            for n, (lo, hi, g) in enumerate(self._thresholds(pair))
-            for m in range(max(lo, g), hi + 1)
-        )
+            vals = self._values[pair]
+            try:
+                return [[m for m in range(lo, hi + 1) if vals[n, m]] for n, (lo, hi) in enumerate(cols)]
+            except KeyError as exc:
+                raise GeometryError(f"{pair}: slot {exc.args[0]} missing from the given values") from exc
+        first = self._first[pair]
+        return [range(max(lo, g), hi + 1) for (lo, hi), g in zip(cols, self._g[first : first + len(cols)])]
 
     # -- lookup ------------------------------------------------------------
 
@@ -127,15 +127,6 @@ class QuotientColoring:
                 return min(thr, m)
             thr = low
         return thr
-
-    def _alternatives(self, pair: Node, pt: Point):
-        """Enabled one-round alternatives: per enabled Spoiler rule, the list
-        of (successor pair, successor point) replies."""
-        n, m = pt
-        for _, d, replies in self.product.moves[pair]:
-            if n + d < 0:
-                continue
-            yield [(tgt, (n + d, m + d2)) for d2, tgt in replies if m + d2 >= 0]
 
     # -- greatest fixpoint ---------------------------------------------------
 
@@ -255,22 +246,25 @@ class QuotientColoring:
 
     def condition_holds(self, pair: Node, pt: Point) -> bool:
         """One-step simulation condition against this coloring, evaluated
-        directly from the step semantics (works at any point)."""
-        for replies in self._alternatives(pair, pt):
-            if not any(self.lookup(tp, tpt) for tp, tpt in replies):
-                return False
-        return True
+        directly from the step semantics (works at any point): every Spoiler
+        rule enabled at pt has a reply onto a true point."""
+        n, m = pt
+        return all(
+            any(self.lookup(t, (n + d, m + d2)) for d2, t in replies if m + d2 >= 0)
+            for _, d, replies in self.product.moves[pair]
+            if n + d >= 0
+        )
 
     def certify_periodicity(self) -> list[str]:
         """Verify that the periodic extension is self-supporting.
 
         The one-step condition is checked at the first M translates of every
         true point of the fringe, the slots of all points beyond the window
-        (`PairGeometry.fringe`).  M is computed so that every
-        geometric test any lookup can make (belt and zone boundaries, window
-        caps of successor pairs) has constant outcome beyond M.  Past that
-        horizon the checked conditions repeat verbatim, so all translates
-        are covered.
+        (`PairGeometry.fringe`), cut from the column view (`_trues`).  M is
+        computed so that every geometric test any lookup can make (belt and
+        zone boundaries, window caps of successor pairs) has constant outcome
+        beyond M.  Past that horizon the checked conditions repeat verbatim,
+        so all translates are covered.
 
         A solved coloring's true fringe in column n is the range [b, t] of
         its points from the threshold up, and `_translates_hold` checks it a
@@ -289,18 +283,10 @@ class QuotientColoring:
         GeometryError are therefore those of the point test.
         """
         failures: list[str] = []
-        g = self._g
         for pair, geo in self.geometry.items():
-            if g is None:
-                vals = self._values[pair]
-            else:
-                first = self._first[pair]
             fringe: list[tuple[int, range | list[int]]] = []  # per column, its true fringe
-            for n, (lo, hi) in enumerate(geo.fringe()):
-                if g is None:
-                    ms = [m for m in range(lo, hi + 1) if vals[n, m]]
-                else:
-                    ms = range(max(lo, g[first + n]), hi + 1)
+            for n, ((lo, _), ms) in enumerate(zip(geo.fringe(), self._trues(pair))):
+                ms = ms[bisect_left(ms, lo) :]
                 if ms:
                     fringe.append((n, ms))
             if not fringe:
@@ -322,7 +308,7 @@ class QuotientColoring:
                 failures.append(f"{pair}: periodicity horizon {horizon} exceeds cap")
                 continue
             for n, ms in fringe:
-                if g is not None and self._translates_hold(pair, n, ms, step, horizon):
+                if self._g is not None and self._translates_hold(pair, n, ms, step, horizon):
                     continue
                 for m in ms:
                     for s in range(1, horizon + 1):
@@ -350,18 +336,25 @@ class QuotientColoring:
         return True
 
     def false_points(self) -> list[tuple[Node, Point]]:
-        """The excluded window points."""
-        return [(pair, pt) for pair, vals in self.values.items() for pt, v in vals.items() if not v]
+        """The excluded window points, in `window_points` order, read from
+        the column view (`_trues`)."""
+        out = []
+        for pair, geo in self.geometry.items():
+            for n, ((lo, hi), ms) in enumerate(zip(geo.columns, self._trues(pair))):
+                true = set(ms)
+                out.extend((pair, (n, m)) for m in range(lo, hi + 1) if m not in true)
+        return out
 
     def to_json_obj(self) -> dict:
-        """The exported form: per pair, the true window points split into the
-        initial block (up to l0), the aperiodic block (up to rect(j)) and the
-        periodic block repeated along k*slope."""
+        """The exported form: per pair, the true window points of the column
+        view (`_trues`) split into the initial block (up to l0), the
+        aperiodic block (up to rect(j)) and the periodic block repeated along
+        k*slope."""
         pairs = []
         for pair in sorted(self.geometry):
             geo = self.geometry[pair]
             blocks: dict[str, list[list[int]]] = {"init": [], "aper": [], "per": []}
-            for pt in self._true_points(pair):
+            for pt in ((n, m) for n, ms in enumerate(self._trues(pair)) for m in ms):
                 block = "init" if geo.in_rect(pt, 0) else "aper" if geo.in_rect(pt, geo.j) else "per"
                 blocks[block].append(list(pt))
             pairs.append({
@@ -474,31 +467,34 @@ def find_equal_cross_sections(col: QuotientColoring, pair: Node) -> tuple[int, i
 
     A cross-section at level L is the coloring on two consecutive lines at L;
     two sections are equal when one is the other shifted by a multiple of the
-    slope.  Steep belts are scanned along Duplicator's axis, shallow belts
-    along Spoiler's.  Returns (level1, level2, k) with k <= MAX_SHIFT, or None.
+    slope.  Both are cut from the column view (`_trues`): a shallow belt's
+    lines are columns, and a steep belt's are rows, cut by bisection from the
+    columns that meet them, which are consecutive, as a belt's column ranges
+    rise with n.  Returns (level1, level2, k) with k <= MAX_SHIFT, or None.
     """
     geo = col.geometry[pair]
-    s = geo.slope
-    steep = s.rho_prime >= s.rho
-    axis, step = (1, s.rho_prime) if steep else (0, s.rho)
-    if step == 0:
-        return None
-    top = geo.cap[axis] - 1
+    rho, rho2 = geo.slope.rho, geo.slope.rho_prime
+    trues, (los, his) = col._trues(pair), zip(*geo.columns)
+    steep = rho2 >= rho
+    step, top = (rho2, geo.cap[1] - 1) if steep else (rho, geo.cap[0] - 1)
 
-    by_level: dict[int, set[Point]] = {}
-    for pt in col._true_points(pair):
-        by_level.setdefault(pt[axis], set()).add(pt)
+    def section(level: int) -> list[Point]:
+        """The true points of lines level and level + 1, less level on the
+        scanned axis."""
+        if not steep:
+            return [(n - level, m) for n in (level, level + 1) for m in trues[n]]
+        return [
+            (n, m - level)
+            for n in range(bisect_left(his, level), bisect_right(los, level + 1))
+            for m in trues[n][bisect_left(trues[n], level) : bisect_left(trues[n], level + 2)]
+        ]
 
-    def true_section(level: int) -> frozenset[Point]:
-        return frozenset(by_level.get(level, set()) | by_level.get(level + 1, set()))
-
-    for level1 in range(0, top + 1):
+    for level1 in range(top + 1):
         for kk in range(1, MAX_SHIFT + 1):
             level2 = level1 + kk * step
-            if level2 + 1 > top + 1:
+            if level2 > top:
                 break
-            shift = (kk * s.rho, kk * s.rho_prime)
-            shifted = frozenset((p[0] + shift[0], p[1] + shift[1]) for p in true_section(level1))
-            if shifted == true_section(level2):
+            dn, dm = (kk * rho, 0) if steep else (0, kk * rho2)
+            if [(n + dn, m + dm) for n, m in section(level1)] == section(level2):
                 return (level1, level2, kk)
     return None

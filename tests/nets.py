@@ -53,6 +53,24 @@ def tau_cyclic_pair(seed: int) -> tuple[Ocn, Ocn]:
     return sp, dup
 
 
+def omega_gadget_pair(seed: int) -> tuple[Ocn, Ocn]:
+    """Two-state random nets over (a, b), plus a Duplicator state y and
+    three transitions in the shape of `omega_into_y`: a tau-pump
+    `d0 tau +1 d0`, a tau step from d0 into y with counter change -1 or 0,
+    and one a step out of y, into y or d0.  As y cannot answer b, the
+    approximants' gadgets take finite sufficient values, and most seeds
+    converge at level 2 or later."""
+    rng = random.Random(seed)
+    sp, dup0 = random_net(rng, "s", max_states=2), random_net(rng, "d", max_states=2)
+    extra = (
+        ("d0", "tau", 1, "d0"),
+        ("d0", "tau", rng.choice((-1, 0)), "y"),
+        ("y", "a", rng.choice((-1, 0, 1)), rng.choice(("y", "d0"))),
+    )
+    dup = Ocn(dup0.name, (*dup0.states, "y"), ("a", "b", "tau"), dup0.transitions + extra)
+    return sp, dup
+
+
 def criterion_7_pairs(count: int) -> list[tuple[Ocn, Ocn]]:
     """The first `count` instances of acceptance criterion 7: random nets
     plus tau edges from each Duplicator state to the later ones, so the

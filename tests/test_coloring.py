@@ -25,6 +25,7 @@ from ocnsim.core import Config, NetError, Ocn, build_product, normalize_pair
 from ocnsim.attractor import SpoilerAttractor
 from ocnsim.coloring import (
     MAX_ROUNDS,
+    MAX_SHIFT,
     EngineLimits,
     GeometryError,
     PairGeometry,
@@ -571,6 +572,34 @@ def test_lookup_from_thresholds_matches_the_window_values():
     del given.values[pair][pt]
     with pytest.raises(GeometryError, match="missing from the given values"):
         given.lookup(pair, pt)
+
+
+def test_missing_given_values_fail_as_a_lookup_does():
+    # every reader of a coloring whose given dicts lack a window point
+    # raises the GeometryError of a lookup of it: none raises a KeyError or
+    # reads the point as false.  (50, 52) is a true fringe point of (p, q).
+    eng = _engine(NET_A, NET_ACOPY)
+    col = eng.export_coloring()
+    pair, pt = ("p", "q"), (50, 52)
+    lo, hi = col.geometry[pair].fringe()[pt[0]]
+    assert lo <= pt[1] <= hi and col.values[pair].pop(pt) is True
+    nets = (eng.spoiler_net, eng.duplicator_net)
+    readers = {
+        "lookup": lambda: col.lookup(pair, pt),
+        "certify_periodicity": col.certify_periodicity,
+        "verify_coloring": lambda: verify_coloring(nets, col),
+        "false_points": col.false_points,
+        "to_json_obj": col.to_json_obj,
+        "find_equal_cross_sections": lambda: find_equal_cross_sections(col, pair),
+    }
+    outcomes = {}
+    for name, read in readers.items():
+        try:
+            outcomes[name] = ("returned", read())
+        except (GeometryError, KeyError) as exc:
+            outcomes[name] = (type(exc).__name__, str(exc))
+    error = ("GeometryError", f"{pair}: slot {pt} missing from the given values")
+    assert outcomes == dict.fromkeys(readers, error)
 
 
 def test_quotient_folds_replies_into_their_own_column():
@@ -1176,6 +1205,88 @@ def test_periodic_expansion_matches_recomputation():
 # cross-sections
 
 
+def _cross_sections_by_points(col, pair):
+    """The reference search: per-level sets of true window points, compared
+    as shifted frozensets, level by level and shift by shift."""
+    geo = col.geometry[pair]
+    s = geo.slope
+    axis, step = (1, s.rho_prime) if s.rho_prime >= s.rho else (0, s.rho)
+    top = geo.cap[axis] - 1
+    by_level = {}
+    for pt, v in col.values[pair].items():
+        if v:
+            by_level.setdefault(pt[axis], set()).add(pt)
+
+    def true_section(level):
+        return frozenset(by_level.get(level, set()) | by_level.get(level + 1, set()))
+
+    for level1 in range(top + 1):
+        for kk in range(1, MAX_SHIFT + 1):
+            level2 = level1 + kk * step
+            if level2 > top:
+                break
+            shifted = {(n + kk * s.rho, m + kk * s.rho_prime) for n, m in true_section(level1)}
+            if shifted == true_section(level2):
+                return (level1, level2, kk)
+    return None
+
+
+def _assert_cross_sections_match(col, case):
+    """Both the coloring and a coloring given its values find the reference
+    search's cross-sections for every pair; returns how many pairs have no
+    true window point."""
+    given = QuotientColoring(col.product, col.geometry, col.values)
+    empty = 0
+    for pair in col.geometry:
+        expected = _cross_sections_by_points(col, pair)
+        assert find_equal_cross_sections(col, pair) == expected, (case, pair)
+        assert find_equal_cross_sections(given, pair) == expected, (case, pair)
+        empty += not any(col.values[pair].values())
+    return empty
+
+
+def test_cross_sections_match_the_point_set_search():
+    # every built coloring of the engines, after an exactness upgrade has
+    # built as many rounds as it needs
+    cases = [(f"random {seed}", random_pair(seed)) for seed in range(150)]
+    cases += [(f"tau-cyclic {seed}", tau_cyclic_pair(seed)) for seed in range(10)]
+    cases += [("a/acopy", (NET_A, NET_ACOPY))]
+    cases += [((n, cycle), chain_pair(n, cycle)) for n in (5, 10, 20) for cycle in (False, True)]
+    found = empty = 0
+    for case, nets in cases:
+        eng = _engine(*nets)
+        eng.exact_coloring()
+        for col in eng.colorings.values():
+            if col is not None:
+                empty += _assert_cross_sections_match(col, case)
+                found += 1
+    assert found >= len(cases)
+    # the chains' pairs are all false in the window: equal, empty sections
+    # one slope step apart
+    assert empty > 0
+
+
+def test_cross_sections_match_the_point_set_search_on_given_values():
+    # given values need not be upward closed in a column: random flips of
+    # window points leave holes that the column view cuts around, and an
+    # all-false window has equal, empty sections at (0, step, 1)
+    rng = random.Random(29)
+    for seed in (*range(10), 226, 17):
+        eng = _engine(*random_pair(seed))
+        col = eng.export_coloring()
+        for pair, vals in col.values.items():
+            for pt in rng.sample(sorted(vals), len(vals) // 10):
+                vals[pt] = not vals[pt]
+        for pair in col.geometry:
+            assert find_equal_cross_sections(col, pair) == _cross_sections_by_points(col, pair)
+    geometry = _engine(NET_A, NET_ACOPY).certified_coloring().geometry
+    product = build_product(NET_A, NET_ACOPY)
+    values = {pair: dict.fromkeys(geo.window_points(), False) for pair, geo in geometry.items()}
+    col = QuotientColoring(product, geometry, values)
+    assert find_equal_cross_sections(col, ("p", "q")) == (0, 1, 1)
+    assert _cross_sections_by_points(col, ("p", "q")) == (0, 1, 1)
+
+
 def test_cross_sections_a_vs_a():
     eng = _engine(NET_A, NET_ACOPY)
     col = eng.certified_coloring()
@@ -1218,3 +1329,4 @@ def test_cross_sections_parity_net():
     res = find_equal_cross_sections(col, ("s0", "d0"))
     assert res is not None
     assert res[2] == 2
+    _assert_cross_sections_match(col, "parity")

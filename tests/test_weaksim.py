@@ -1,7 +1,7 @@
 import random
 
 from cli_runner import run
-from nets import NET_A, omega_into_y, random_pair, tau_cyclic_pair
+from nets import NET_A, omega_gadget_pair, omega_into_y, random_pair, tau_cyclic_pair
 from ocnsim.core import Config, Ocn, format_net
 from ocnsim.coloring import StrongSimEngine
 from ocnsim.oracle import bounded_weak_round_winner
@@ -253,6 +253,60 @@ def test_converged_false_answers_are_spoiler_wins_on_tau_cyclic():
                         break
                 assert verdict.spoiler_wins, (seed, c1, c2)
     assert falses > 0
+
+
+def test_decide_weak_matches_bounded_oracle_on_iterating_approximants():
+    # `omega_gadget_pair` nets take finite sufficient values, so their
+    # levels reach `compute_suff` and its exact colorings; seeds 3 and 18
+    # converge at level 3, seed 20 at level 4.  Every answer, at every
+    # state pair and counters 0-2, must be decided and agree with the
+    # bounded weak oracle capped at Duplicator's state count: a true answer
+    # survives 24 rounds, and a false one is a Spoiler win within 24, or
+    # within 96 when 24 do not show it.
+    levels, answers = {}, {True: 0, False: 0}
+    for seed in (*range(12), 18, 20):
+        sp, dup = omega_gadget_pair(seed)
+        conv = converge_weak(sp, dup)
+        levels[seed] = conv.levels
+        for q in sp.states:
+            for q2 in dup.states:
+                for n in range(3):
+                    for m in range(3):
+                        pos = (Config(q, n), Config(q2, m))
+                        answer = conv.decide(*pos)
+                        assert answer is not None, (seed, pos)
+                        answers[answer] += 1
+                        for rounds in (24, 96):
+                            verdict = bounded_weak_round_winner(
+                                (sp, dup), pos, rounds=rounds, tau_cap=len(dup.states)
+                            )
+                            if answer or verdict.spoiler_wins:
+                                break
+                        assert answer == (not verdict.spoiler_wins), (seed, pos)
+    assert (levels[3], levels[18], levels[20]) == (3, 3, 4)
+    assert sum(level >= 2 for level in levels.values()) >= 10
+    assert min(answers.values()) > 0
+
+
+def test_uncertified_approximant_level_answers_undecided():
+    # seed 61 converges to no engine: at level 2 no round's coloring
+    # certifies, round 0 (j = 309, k = 1, K = 51) with a periodicity
+    # horizon of 518 past HORIZON_CAP, so `compute_suff` finds no exact
+    # coloring.  Every answer is undecided, never a guess, although
+    # Spoiler wins some points at once: d1 cannot answer b at counter 0.
+    sp, dup = omega_gadget_pair(61)
+    conv = converge_weak(sp, dup)
+    assert (conv.engine, conv.levels) == (None, 2)
+    answers = {
+        conv.decide(Config(q, n), Config(q2, m))
+        for q in sp.states
+        for q2 in dup.states
+        for n in range(4)
+        for m in range(4)
+    }
+    assert answers == {None}
+    pos = (Config("s0", 0), Config("d1", 0))
+    assert bounded_weak_round_winner((sp, dup), pos, rounds=16, tau_cap=len(dup.states)).spoiler_wins
 
 
 def test_dump_approximants_writes_each_level(tmp_path):
