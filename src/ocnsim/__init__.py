@@ -1,8 +1,8 @@
 """Simulation preorder decision engine for one-counter nets."""
 
 from .core import Config, Ocn, build_product, format_net, normalize_pair, parse_net, steps
-from .coloring import Belt, EngineLimits, StrongSimEngine
-from .geometry import Slope
+from .coloring import EngineLimits, StrongSimEngine
+from .geometry import Belt, Slope
 from .slope_game import belt_constant
 
 __all__ = [

@@ -116,8 +116,7 @@ def check(mode, tau, as_json, max_depth, max_period, max_rect, dump_dir,
     duplicator = _load_net(net_b)
     left = _parse_config(conf_a, spoiler, net_a)
     right = _parse_config(conf_b, duplicator, net_b)
-    k_schedule = tuple(k for k in EngineLimits.k_schedule if k <= max_period)
-    limits = EngineLimits(k_schedule, spoiler_depth_cap=max_depth, max_rect=max_rect)
+    limits = EngineLimits(max_period, spoiler_depth_cap=max_depth, max_rect=max_rect)
     started = time.monotonic()
     j = k = None
     belts_used = 0
@@ -145,7 +144,7 @@ def check(mode, tau, as_json, max_depth, max_period, max_rect, dump_dir,
         answer = None  # out of stack or memory: a resource cap, not a verdict
     if engine is not None:
         belts_used = engine.product.K
-        col = next((c for c in engine.colorings.values() if c is not None and c.certified_yes), None)
+        col = next(engine._certified(build=False), None)
         if col is not None:
             geo = next(iter(col.geometry.values()))
             j, k = geo.j, geo.k
@@ -179,7 +178,7 @@ def belts(as_json, net_a, net_b):
             "c": b.c,
             "vertical": b.vertical,
         }
-        for b in engine.belts()
+        for _, b in sorted(engine.belts.items())
     ]
     if as_json:
         print(json.dumps({"schema": 1, "c_global": engine.c_global, "pairs": rows}))
@@ -206,7 +205,7 @@ def _render_ascii(engine: StrongSimEngine, pair, size: int) -> str:
 def _render_svg(engine: StrongSimEngine, pair, size: int) -> str:
     cell = 10
     span = size * cell
-    belt = next(b for b in engine.belts() if b.pair == pair)
+    belt = engine.belts[pair]
     # trivially simulated zone, trivially excluded zone, belt strip
     zone_fill = {True: "#d8f0d8", False: "#f0d8d8", None: "#d8e4f4"}
     parts = [
@@ -337,7 +336,7 @@ def _parser() -> _Parser:
     sub.add_argument("--json", dest="as_json", action="store_true", help="machine-readable verdict")
     sub.add_argument("--max-depth", type=NATURAL, default=EngineLimits.spoiler_depth_cap,
                      help="bounded Spoiler search cap (default: %(default)s)")
-    sub.add_argument("--max-period", type=POSITIVE, default=max(EngineLimits.k_schedule),
+    sub.add_argument("--max-period", type=POSITIVE, default=EngineLimits.max_period,
                      help="largest period k to try (default: %(default)s)")
     sub.add_argument("--max-rect", type=NATURAL, default=EngineLimits.max_rect,
                      help="largest window rectangle (default: %(default)s)")

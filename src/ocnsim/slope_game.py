@@ -12,11 +12,7 @@ from __future__ import annotations
 from typing import Literal
 
 from .core import Node, ProductGraph, graph_parameters
-from .geometry import (
-    Slope,
-    Vec2,
-    is_behind,
-)
+from .geometry import Belt, Slope, Vec2, is_behind
 
 SPOILER = "spoiler"
 DUPLICATOR = "duplicator"
@@ -198,33 +194,8 @@ def cycle_effect_candidates(g: ProductGraph) -> set[Vec2]:
     return effects | {(-x, -y) for x, y in effects}
 
 
-class RepOutcome:
-    __slots__ = ("slope", "winner", "segment_depth")
-
-    def __init__(self, slope: Slope, winner: Player, segment_depth: int) -> None:
-        self.slope = slope
-        self.winner = winner
-        self.segment_depth = segment_depth
-
-
-class PairScan:
-    """Slope-game outcomes for one state pair across all representatives,
-    condensed to the boundary slope and the belt margin c the key lemmas
-    certify on both sides of it."""
-
-    __slots__ = ("node", "boundary", "outcomes", "c")
-
-    def __init__(
-        self, node: Node, boundary: Slope, outcomes: tuple[RepOutcome, ...], c: int
-    ) -> None:
-        self.node = node
-        self.boundary = boundary
-        self.outcomes = outcomes
-        self.c = c
-
-
-def scan_pair(node: Node, reps: list[Slope], solver: SlopeGameSolver) -> PairScan:
-    """Solve the Slope Game at every representative and locate the boundary.
+def scan_pair(node: Node, reps: list[Slope], solver: SlopeGameSolver) -> Belt:
+    """Solve the Slope Game at every representative and return the pair's belt.
 
     Spoiler-won slopes form a prefix of the steepness-ordered scan and
     Duplicator-won slopes a suffix (monotonicity); the boundary is the
@@ -233,27 +204,23 @@ def scan_pair(node: Node, reps: list[Slope], solver: SlopeGameSolver) -> PairSca
     segment depths of the first Duplicator-won and the last Spoiler-won
     representative, times the solver's product size K.
     """
-    outcomes = []
-    for s in reps:
-        res = solver.solve(node, s)
-        outcomes.append(RepOutcome(s, res.winner, res.segment_depth))
-    for earlier, later in zip(outcomes, outcomes[1:]):
+    results = [solver.solve(node, s) for s in reps]
+    for earlier, later in zip(results, results[1:]):
         if earlier.winner == DUPLICATOR and later.winner == SPOILER:
             raise RuntimeError(f"slope-game monotonicity violated at {node}")
-    first_dup = next((i for i, o in enumerate(outcomes) if o.winner == DUPLICATOR), None)
+    first_dup = next((i for i, r in enumerate(results) if r.winner == DUPLICATOR), None)
     if first_dup is None:
         # no Duplicator win: the above-zone of a vertical slope is empty
-        boundary, depth = Slope(0, 1), outcomes[-1].segment_depth
+        slope, depth = Slope(0, 1), results[-1].segment_depth
     elif first_dup == 0:
         # no Spoiler win: the below-zone of a horizontal slope is empty
-        boundary, depth = Slope(1, 0), outcomes[0].segment_depth
+        slope, depth = Slope(1, 0), results[0].segment_depth
     else:
         # Criticals sit at even indices, mediants at odd ones; the infimum of
         # the Duplicator-won region is the critical at or below the first win.
-        win, lose = outcomes[first_dup], outcomes[first_dup - 1]
-        boundary = win.slope if first_dup % 2 == 0 else lose.slope
-        depth = max(win.segment_depth, lose.segment_depth)
-    return PairScan(node, boundary, tuple(outcomes), solver.product.K * depth)
+        slope = reps[first_dup - first_dup % 2]
+        depth = max(results[first_dup].segment_depth, results[first_dup - 1].segment_depth)
+    return Belt(node, slope, solver.product.K * depth)
 
 
 def belt_constant(g: ProductGraph) -> int:

@@ -16,7 +16,6 @@ import itertools
 
 from .core import Config, NetError, Node, Ocn, Transition
 from .coloring import EngineLimits, StrongSimEngine
-from .geometry import Slope
 
 OMEGA = "omega"
 
@@ -451,16 +450,15 @@ def compute_suff(engine: StrongSimEngine, pair: Node) -> int | None:
     regime.  Non-vertical belts give omega.  Raises if the engine cannot
     certify a coloring within its caps.
     """
-    scan = engine.scans[pair]
-    if scan.boundary != Slope(0, 1):
+    belt = engine.belts[pair]
+    if not belt.vertical:
         return None
     col = engine.exact_coloring()
     if col is None:
         raise CapsExceeded(f"no exact coloring for suff at {pair}")
     geo = col.geometry[pair]
     stable_level = geo.cap[1] + geo.k
-    c = engine.c_pair[pair]
-    for n in range(0, c + 2):
+    for n in range(0, belt.c + 2):
         if not col.lookup(pair, (n, stable_level)):
             return n
     raise AssertionError(f"no excluded column within the belt at {pair}")

@@ -63,13 +63,13 @@ def suite() -> SuiteStats:
         # criterion 3: instrumented slope-game bounds
         if eng.solver.max_phase_depth > (eng.product.K + 1) ** 2:
             stats.phase_bound_violations.append(seed)
-        for node, scan in eng.scans.items():
-            b = scan.boundary
+        for node, belt in eng.belts.items():
+            b = belt.slope
             if not (0 <= b.rho <= eng.product.K and 0 <= b.rho_prime <= eng.product.K):
                 stats.slope_range_violations.append((seed, node))
             # criterion 5 (monotonicity lemma): Spoiler wins form a prefix of
             # the steepness-ordered representative scan
-            outcomes = scan.outcomes
+            outcomes = [eng.solver.solve(node, s) for s in eng.reps]
             for early, late in zip(outcomes, outcomes[1:]):
                 stats.monotonicity_checks += 1
                 if early.winner == DUPLICATOR and late.winner == SPOILER:

@@ -120,7 +120,9 @@ def test_check_internal_error_exit_70(monkeypatch, exc):
     "method,args",
     [
         ("decide", ("render", "--pair", "p,q", "--max", "4", A, ACOPY)),
-        ("belts", ("belts", A, ACOPY)),
+        # `belts` calls nothing of the engine but its constructor; the id
+        # keeps the command's name
+        pytest.param("__init__", ("belts", A, ACOPY), id="belts-args1"),
         ("certified_coloring", ("export", "--out", "OUT", A, ACOPY)),
     ],
 )

@@ -26,6 +26,7 @@ from ocnsim.attractor import SpoilerAttractor
 from ocnsim.coloring import (
     MAX_ROUNDS,
     MAX_SHIFT,
+    PERIODS,
     EngineLimits,
     GeometryError,
     PairGeometry,
@@ -125,6 +126,18 @@ def test_geometry_error_is_a_cap_only_below_j0(monkeypatch, max_rect, raises):
     monkeypatch.setattr(QuotientColoring, "_solve", lambda self: solves.append(self))
     assert eng.decide(("p", 30), ("q", 31)) is None
     assert solves == [] and eng.certified_coloring() is None and eng.exact_coloring() is None
+
+
+def test_uncertified_rounds_keep_no_coloring(monkeypatch):
+    # a round whose coloring fails certification is a None entry, as a
+    # capped one is: nothing uncertified is kept to be read or made exact
+    monkeypatch.setattr(QuotientColoring, "certify_periodicity", lambda self: ["failed"])
+    eng = _engine(NET_A, NET_ACOPY)
+    # p:5 is simulated by q:5, but no Spoiler search can show that
+    assert eng.belts[("p", "q")].zone((5, 5)) is None
+    assert eng.decide(("p", 5), ("q", 5)) is None
+    assert eng.colorings and set(eng.colorings.values()) == {None}
+    assert eng.certified_coloring() is None and eng.exact_coloring() is None
 
 
 def test_attractor_ranks_up_to_the_grid_edge():
@@ -961,7 +974,7 @@ def test_export_shares_read_only_state():
     # read-only objects still copy and pickle
     assert copy.deepcopy(col).to_json_obj() == col.to_json_obj()
     assert pickle.loads(pickle.dumps(col)).to_json_obj() == col.to_json_obj()
-    belt = copy.copy(eng.belts()[0])
+    belt = copy.copy(eng.belts[("p", "q")])
     assert (belt.pair, belt.slope, belt.c) == (geo.pair, geo.slope, geo.c)
     assert pickle.loads(pickle.dumps(Config("p", 1))) == Config("p", 1)
 
@@ -1026,16 +1039,15 @@ def test_configs_and_decide_reject_counters_that_are_not_integers(left, right):
 @pytest.mark.parametrize(
     "limits",
     [
-        {"k_schedule": ()},
-        {"k_schedule": (0,)},
-        {"k_schedule": (1, -2)},
+        {"max_period": 0},
+        {"max_period": -2},
         {"spoiler_depth_cap": -1},
         {"max_rect": -3},
     ],
 )
 def test_engine_limits_reject_values_that_crash_the_engine(limits):
-    # an empty schedule raised IndexError in the engine and a period of 0
-    # ZeroDivisionError in a wrap
+    # below 1, max_period leaves the schedule no period, which raised
+    # IndexError in the engine
     with pytest.raises(ValueError):
         EngineLimits(**limits)
 
@@ -1058,7 +1070,7 @@ def test_engine_runs_one_scc_pass(monkeypatch):
 def test_schedule_reaches_every_default_period():
     eng = _engine(NET_A, NET_ACOPY)
     assert len(eng.schedule) == MAX_ROUNDS
-    assert tuple(k for _, k, _ in eng.schedule) == EngineLimits().k_schedule
+    assert tuple(k for _, k, _ in eng.schedule) == PERIODS
 
 
 def test_decide_strong_identity_simulation():
@@ -1097,13 +1109,12 @@ def test_trivial_zone_correctness():
         n, m = random_pair(seed)
         eng = _engine(n, m)
         for pair in eng.product.nodes:
-            scan = eng.scans[pair]
-            c = eng.c_pair[pair]
+            belt = eng.belts[pair]
             for _ in range(4):
                 pt = (rng.randint(0, 40), rng.randint(0, 40))
-                if c_above(pt, scan.boundary, c):
+                if c_above(pt, belt.slope, belt.c):
                     assert eng.spoiler_rank(pair, pt, depth=60) is None
-                if c_below(pt, scan.boundary, c):
+                if c_below(pt, belt.slope, belt.c):
                     assert eng.spoiler_rank(pair, pt, depth=200) is not None
 
 
@@ -1138,7 +1149,7 @@ def test_answers_do_not_depend_on_query_order():
         belt = [
             ((q, n), (q2, m))
             for (q, n), (q2, m) in queries
-            if by_rows._belts[q, q2].zone((n, m)) is None
+            if by_rows.belts[q, q2].zone((n, m)) is None
         ]
         for query in rng.sample(belt, min(4, len(belt))):
             assert _engine(*nets).decide(*query) == want[query], (seed, query)
@@ -1152,10 +1163,10 @@ def test_spoiler_win_past_round_0_builds_no_further_coloring():
     # builds no coloring of its own.
     eng = _engine(NET_A, NET_ACOPY)
     (j0, k0, depth0), (j1, k1, depth1) = eng.schedule[:2]
-    assert eng._belts[("p", "q")].zone((5, 4)) is None
+    assert eng.belts[("p", "q")].zone((5, 4)) is None
     assert eng.decide(("p", 5), ("q", 4)) is False
     assert list(eng.colorings) == [(j0, k0)] and not eng.colorings[j0, k0].exact
-    assert eng._belts[("p", "q")].zone((33, 32)) is None
+    assert eng.belts[("p", "q")].zone((33, 32)) is None
     assert depth0 == 32
     assert eng.decide(("p", 33), ("q", 32)) is False
     assert eng.colorings[j0, k0].exact

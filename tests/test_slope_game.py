@@ -91,18 +91,18 @@ def test_cycle_candidates_closed_under_negation():
 
 
 def test_boundary_slopes_of_reference_pairs():
-    assert StrongSimEngine(NET_A, NET_ACOPY).scans[("p", "q")].boundary == Slope(1, 1)
-    assert StrongSimEngine(NET_Z, NET_B).scans[("z", "r")].boundary == Slope(1, 0)
+    assert StrongSimEngine(NET_A, NET_ACOPY).belts[("p", "q")].slope == Slope(1, 1)
+    assert StrongSimEngine(NET_Z, NET_B).belts[("z", "r")].slope == Slope(1, 0)
     # Spoiler pumps while Duplicator drains: vertical belt
-    assert StrongSimEngine(NET_B, NET_A).scans[("r", "p")].boundary == Slope(0, 1)
+    assert StrongSimEngine(NET_B, NET_A).belts[("r", "p")].slope == Slope(0, 1)
 
 
 def test_boundary_slope_components_bounded_by_k():
     for seed in range(25):
         eng = StrongSimEngine(*random_pair(seed))
         k = eng.product.K
-        for scan in eng.scans.values():
-            b = scan.boundary
+        for belt in eng.belts.values():
+            b = belt.slope
             assert 0 <= b.rho <= k and 0 <= b.rho_prime <= k
 
 
@@ -191,8 +191,8 @@ def test_scan_pair_boundary_collinear_with_candidates():
         dirs = {Slope(x, y).normalized() for x, y in vectors if x >= 0 and y >= 0 and (x, y) != (0, 0)}
         dirs |= {Slope(1, 0), Slope(0, 1)}
         for node in g.nodes:
-            scan = scan_pair(node, reps, solver)
-            assert scan.boundary.normalized() in dirs
+            belt = scan_pair(node, reps, solver)
+            assert belt.slope.normalized() in dirs
 
 
 def _reference_phase(g, node, slope, starts):
@@ -266,8 +266,10 @@ def test_component_sharing_matches_the_unshared_search():
     for eng in _engines_for_sharing():
         engines += 1
         starts = {}
-        for node, scan in eng.scans.items():
-            got = [(o.winner, o.segment_depth) for o in scan.outcomes]
+        for node in eng.belts:
+            # the solver's memo answers with the results the engine's scan read
+            results = [eng.solver.solve(node, s) for s in eng.reps]
+            got = [(r.winner, r.segment_depth) for r in results]
             want = [_reference_phase(eng.product, node, s, starts) for s in eng.reps]
             assert got == want, (eng.spoiler_net.name, node)
     assert engines >= 190
